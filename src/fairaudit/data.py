@@ -12,6 +12,7 @@ read-only) and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -245,11 +246,14 @@ def load_schema(path):
 
 def _parse_float(cell, column, row):
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise ParseError(
             f"row {row}: cell {cell!r} in continuous column {column!r} is not numeric"
         ) from None
+    if not math.isfinite(value):
+        raise ParseError(f"row {row}: cell {cell!r} in column {column!r} is not finite")
+    return value
 
 
 def load_csv(path, schema, exclude=()):
@@ -257,8 +261,9 @@ def load_csv(path, schema, exclude=()):
 
     ``schema`` maps column roles and kinds (see :func:`load_schema`); columns
     declared neither continuous nor categorical are inferred (all-numeric
-    columns become continuous). Missing values are rejected outright: the
-    metrics downstream have no sound semantics under silent imputation.
+    columns become continuous). Missing values and non-finite numbers
+    (``nan``, ``inf``) are rejected outright: the metrics downstream have no
+    sound semantics under silent imputation.
     ``exclude`` names columns to ignore (e.g. prediction columns handled by
     :func:`load_predictions`).
     """

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .data import CATEGORICAL, Dataset, PredictionSet, SensitiveAttribute
@@ -85,14 +86,68 @@ def encode_for_distance(ds, spec, include_sensitive=False):
     return x * np.asarray(block_weights)
 
 
-def _block_distances(x, rows):
-    """Pairwise Euclidean distances of x[rows] against all of x.
+# Pair-distance elements (pairs x encoded columns) held at once by the kNN
+# search; bounds its memory independently of n.
+_KNN_BLOCK = 1 << 21
 
-    cdist computes exact coordinate differences, so identical rows get a
-    distance of exactly zero; the all-ties-included neighbourhood rule
-    depends on that.
+
+def _knn_means(x, dec, k):
+    """Mean decision over each row's k nearest other rows, ties included.
+
+    Identical rows are collapsed into distinct rows that carry their
+    multiplicity and positive count. Every other distinct row weighs at
+    least one row, so a row's k-th neighbour distance is at most its
+    (k+1)-th nearest distinct distance, self included. A KD-tree over the
+    distinct rows (Friedman, Bentley & Finkel 1977) lists candidates until
+    the list covers that radius, inflated a little because the tree rounds
+    differently from cdist. Membership is decided on cdist distances alone:
+    cdist of the row differences against the origin repeats cdist's own
+    per-pair arithmetic, so the neighbourhoods are exactly those of a
+    brute-force scan.
     """
-    return cdist(x[rows], x)
+    uniq, inv, cnt = np.unique(x, axis=0, return_inverse=True, return_counts=True)
+    inv = inv.reshape(-1)
+    m, cols = uniq.shape
+    pos = np.bincount(inv, weights=dec, minlength=m)
+    nb_count = np.empty(m)
+    nb_pos = np.empty(m)
+
+    def settle(rows, cand, d):
+        # The row itself is no neighbour: its group counts one less here,
+        # and the caller takes its own decision back out of nb_pos.
+        mult = cnt[cand] - (cand == rows[:, None])
+        order = np.argsort(d, axis=1)
+        cum = np.cumsum(np.take_along_axis(mult, order, axis=1), axis=1)
+        at = np.take_along_axis(order, (cum < k).sum(axis=1)[:, None], axis=1)
+        nb = d <= np.take_along_axis(d, at, axis=1)
+        nb_count[rows] = (mult * nb).sum(axis=1)
+        nb_pos[rows] = (pos[cand] * nb).sum(axis=1)
+
+    width = min(k + 2, m)
+    pending = np.arange(m)
+    if width < m:
+        tree = cKDTree(uniq)
+        radius = np.empty(m)
+    while len(pending):
+        width = min(width, m)
+        step = max(1, _KNN_BLOCK // (width * max(cols, 1)))
+        unsettled = [pending[:0]]
+        for start in range(0, len(pending), step):
+            rows = pending[start : start + step]
+            if width == m:
+                settle(rows, np.broadcast_to(np.arange(m), (len(rows), m)), cdist(uniq[rows], uniq))
+                continue
+            t, cand = tree.query(uniq[rows], k=width)
+            if width == k + 2:  # first pass, over every distinct row
+                radius[rows] = t[:, k] * (1 + 1e-9) + 1e-12
+            short = t[:, -1] <= radius[rows]
+            unsettled.append(rows[short])
+            rows, cand = rows[~short], cand[~short]
+            diff = (uniq[rows][:, None, :] - uniq[cand]).reshape(-1, cols)
+            settle(rows, cand, cdist(diff, np.zeros((1, cols))).reshape(cand.shape))
+        pending = np.concatenate(unsettled)
+        width *= 2
+    return (nb_pos[inv] - dec) / nb_count[inv]
 
 
 def consistency(ds, preds, k=5, dist=DistanceSpec()):
@@ -109,17 +164,12 @@ def consistency(ds, preds, k=5, dist=DistanceSpec()):
     n = ds.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must lie in [1, {n - 1}]")
-    x = encode_for_distance(ds, dist)
     dec = preds.decisions.astype(float)
+    means = _knn_means(encode_for_distance(ds, dist), dec, k)
     total = 0.0
     for start in range(0, n, 512):
-        rows = np.arange(start, min(start + 512, n))
-        d = _block_distances(x, rows)
-        d[np.arange(len(rows)), rows] = np.inf  # exclude self
-        kth = np.partition(d, k - 1, axis=1)[:, k - 1]
-        nb = d <= kth[:, None]
-        means = (nb * dec).sum(axis=1) / nb.sum(axis=1)
-        total += float(np.abs(dec[rows] - means).sum())
+        rows = slice(start, start + 512)
+        total += float(np.abs(dec[rows] - means[rows]).sum())
     return 1.0 - total / n
 
 
@@ -143,13 +193,18 @@ def similarity_weighted_disparity(ds, preds, dist=DistanceSpec()):
     if len(i1) == 0 or len(i0) == 0:
         raise ValueError("both groups must be nonempty")
     x = encode_for_distance(ds, dist)
-    dec = preds.decisions.astype(float)
+    dec = preds.decisions
+    # Only pairs with differing decisions contribute; the others are exact
+    # zeros in the block, which is summed whole so the result keeps its bits.
+    col_pos = dec[i0] == 1
     total = 0.0
     for start in range(0, len(i1), 512):
         rows = i1[start : start + 512]
-        d = cdist(x[rows], x[i0])
-        dy = np.abs(dec[rows][:, None] - dec[i0][None, :])
-        total += float((np.exp(-d) * dy).sum())
+        terms = np.zeros((len(rows), len(i0)))
+        row_pos = dec[rows] == 1
+        for r, c in ((row_pos, ~col_pos), (~row_pos, col_pos)):
+            terms[np.ix_(r, c)] = np.exp(-cdist(x[rows[r]], x[i0[c]]))
+        total += float(terms.sum())
     return total / (len(i1) * len(i0))
 
 

@@ -130,6 +130,32 @@ class TestAudit:
         assert code == EXIT_DATA
         assert "target" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, column",
+        [("m,nan,1,1,0.7", "X1"), ("m,0.5,1,1,inf", "score")],
+    )
+    def test_non_finite_cell_is_data_error(self, tmp_path, capsys, row, column):
+        data = tmp_path / "d.csv"
+        data.write_text(
+            f"g,X1,y,pred,score\n{row}\nf,2.0,0,0,0.2\nm,0.5,1,1,0.9\nf,1.5,0,0,0.4\n",
+            encoding="utf-8",
+        )
+        schema = tmp_path / "s.cfg"
+        schema.write_text("sensitive = g\ntarget = y\ncontinuous = X1\n", encoding="utf-8")
+        code = main(
+            [
+                "audit",
+                "--data", str(data),
+                "--schema", str(schema),
+                "--predictions", "yhat=pred,score=score",
+                "--metrics", "all",
+                "--k", "1",
+            ]
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "not finite" in err and repr(column) in err
+
     def test_undefined_everywhere_exit_partial(self, tmp_path, capsys):
         # nobody accepted: precision undefined in every group
         data = tmp_path / "d.csv"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from fairaudit.data import (
     CATEGORICAL,
@@ -140,6 +143,108 @@ class TestSimilarityWeightedDisparity:
         ds = Dataset((col,), sa)
         with pytest.raises(ValueError, match="binary"):
             similarity_weighted_disparity(ds, PredictionSet(decisions=np.array([0, 1, 0])))
+
+
+# The dense 512-row block implementations that the tree search and the
+# cross-decision sub-blocks replaced, kept verbatim as bit-exact references.
+def _block_distances(x, rows):
+    """Pairwise Euclidean distances of x[rows] against all of x.
+
+    cdist computes exact coordinate differences, so identical rows get a
+    distance of exactly zero; the all-ties-included neighbourhood rule
+    depends on that.
+    """
+    return cdist(x[rows], x)
+
+
+def block_consistency(ds, preds, k=5, dist=DistanceSpec()):
+    if preds is None or preds.decisions is None:
+        raise ValueError("consistency needs binary decisions")
+    if preds.n != ds.n:
+        raise ValueError(f"predictions cover {preds.n} rows, dataset has {ds.n}")
+    n = ds.n
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must lie in [1, {n - 1}]")
+    x = encode_for_distance(ds, dist)
+    dec = preds.decisions.astype(float)
+    total = 0.0
+    for start in range(0, n, 512):
+        rows = np.arange(start, min(start + 512, n))
+        d = _block_distances(x, rows)
+        d[np.arange(len(rows)), rows] = np.inf  # exclude self
+        kth = np.partition(d, k - 1, axis=1)[:, k - 1]
+        nb = d <= kth[:, None]
+        means = (nb * dec).sum(axis=1) / nb.sum(axis=1)
+        total += float(np.abs(dec[rows] - means).sum())
+    return 1.0 - total / n
+
+
+def block_similarity_weighted_disparity(ds, preds, dist=DistanceSpec()):
+    if preds is None or preds.decisions is None:
+        raise ValueError("similarity_weighted_disparity needs binary decisions")
+    if preds.n != ds.n:
+        raise ValueError(f"predictions cover {preds.n} rows, dataset has {ds.n}")
+    if ds.sensitive.n_groups != 2:
+        raise ValueError("binary sensitive attribute required; intersect/recode first")
+    a = ds.sensitive.values
+    i1 = np.flatnonzero(a == 1)
+    i0 = np.flatnonzero(a == 0)
+    if len(i1) == 0 or len(i0) == 0:
+        raise ValueError("both groups must be nonempty")
+    x = encode_for_distance(ds, dist)
+    dec = preds.decisions.astype(float)
+    total = 0.0
+    for start in range(0, len(i1), 512):
+        rows = i1[start : start + 512]
+        d = cdist(x[rows], x[i0])
+        dy = np.abs(dec[rows][:, None] - dec[i0][None, :])
+        total += float((np.exp(-d) * dy).sum())
+    return total / (len(i1) * len(i0))
+
+
+@st.composite
+def tie_heavy_audits(draw):
+    """Mixed categorical and rounded-continuous features with many exact
+    duplicates, under every distance kind; n above 512 covers the blocked sums."""
+    n = draw(st.one_of(st.integers(2, 40), st.integers(513, 700)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for j in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            levels = draw(st.integers(1, 4))
+            cols.append(FeatureColumn(f"c{j}", CATEGORICAL, rng.integers(0, levels, n)))
+        else:
+            digits = draw(st.integers(0, 2))
+            cols.append(FeatureColumn(f"x{j}", CONTINUOUS, np.round(rng.normal(size=n), digits)))
+    a = rng.integers(0, 2, n)
+    a[:2] = [0, 1]
+    ds = Dataset(tuple(cols), SensitiveAttribute("g", a, ("g0", "g1")))
+    dec = (rng.random(n) < draw(st.sampled_from([0.1, 0.5, 0.9]))).astype(int)
+    kind = draw(st.sampled_from(["euclidean_standardized", "euclidean_raw", "user_weighted"]))
+    if kind == "user_weighted":
+        w = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=len(cols), max_size=len(cols)))
+        w[draw(st.integers(0, len(cols) - 1))] = 1.0
+        spec = DistanceSpec(kind, weights=tuple(w))
+    else:
+        spec = DistanceSpec(kind)
+    k = draw(st.integers(1, min(n - 1, 8)))
+    return ds, PredictionSet(decisions=dec), spec, k
+
+
+class TestBitExactAgainstBlockScan:
+    @settings(max_examples=150, deadline=None)
+    @given(tie_heavy_audits())
+    def test_consistency(self, case):
+        ds, preds, spec, k = case
+        assert consistency(ds, preds, k, spec) == block_consistency(ds, preds, k, spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tie_heavy_audits())
+    def test_similarity_weighted_disparity(self, case):
+        ds, preds, spec, _ = case
+        assert similarity_weighted_disparity(
+            ds, preds, spec
+        ) == block_similarity_weighted_disparity(ds, preds, spec)
 
 
 class TestFlipAssessment:
