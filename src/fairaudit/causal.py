@@ -15,13 +15,16 @@ inference exact or cheaply simulable:
   inverse CDF.
 
 Prediction propagates posterior draws through the intervened model;
-when every posterior is a point mass a single exact pass is used.
+when every posterior is a point mass a single exact pass is used. The
+fairness gaps also take a single exact pass when the decision reads no
+node downstream of a non-point posterior (see ``_decision_probs``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -364,15 +367,14 @@ def _is_discrete(scm, node):
 _TOL = 1e-9
 
 
-def _abduct_block(scm, obs):
-    """Noise posteriors per node for a block of fully observed units.
+def _abduct(scm, obs):
+    """Noise posteriors per node for fully observed units.
 
     Full observation makes the posterior factorise: each node's noise is
     pinned by its own value and its parents' values. Returns a dict
-    node -> ("point", u) | ("bern01", p1) | ("tnorm", lo, hi), and a flag
-    telling whether every posterior is a point mass.
+    node -> ("point", u) | ("bern01", p1) | ("tnorm", lo, hi).
     """
-    posteriors, exact = {}, True
+    posteriors = {}
     for node in scm.dag.nodes:
         a, nz = scm.assignments[node], scm.noises[node]
         x = obs[node]
@@ -404,7 +406,6 @@ def _abduct_block(scm, obs):
                 lo = np.where(xb, edge, -np.inf)
                 hi = np.where(xb, np.inf, edge)
                 posteriors[node] = ("tnorm", lo, hi)
-                exact = False
             elif nz.kind == BERNOULLI:
                 ind0 = _indicator(gb + 0.0, a)
                 ind1 = _indicator(gb + 1.0, a)
@@ -415,19 +416,29 @@ def _abduct_block(scm, obs):
                     )
                 p1 = np.where(ok0 & ok1, nz.p, np.where(ok1, 1.0, 0.0))
                 posteriors[node] = ("bern01", p1)
-                if ((p1 > 0) & (p1 < 1)).any():
-                    exact = False
             else:  # point noise
                 if (_indicator(gb + nz.value, a) != xb).any():
                     raise AbductionError(
                         f"node {node!r}: observation inconsistent with point noise"
                     )
                 posteriors[node] = ("point", np.full(x.shape, nz.value))
-    return posteriors, exact
+    return posteriors
 
 
 def _indicator(inner, a):
     return inner > a.cutoff if a.strict else inner >= a.cutoff
+
+
+def _point_mass(post):
+    """Whether a posterior pins the noise of every unit it covers.
+
+    A ``bern01`` posterior with every p1 in {0, 1} does: ``_draw_posterior``
+    then draws u = p1 whatever the generator gives.
+    """
+    kind = post[0]
+    if kind == "point":
+        return True
+    return kind == "bern01" and not ((post[1] > 0) & (post[1] < 1)).any()
 
 
 def _draw_posterior(post, nz, draws, rng):
@@ -508,7 +519,8 @@ def counterfactual(scm, query, mc_budget=10000, seed=0, return_samples=False):
             f"partial observation unsupported; missing nodes: {missing}"
         )
     obs = {k: np.array([float(v)]) for k, v in query.observed.items()}
-    posteriors, exact = _abduct_block(scm, obs)
+    posteriors = _abduct(scm, obs)
+    exact = all(_point_mass(p) for p in posteriors.values())
     draws = 1 if exact else int(mc_budget)
     rng = np.random.default_rng(seed)
     noise = {
@@ -538,31 +550,104 @@ def _observations_from_dataset(scm, ds):
     return {n: cols[n] for n in scm.dag.nodes}
 
 
+class _ExactValues(Mapping):
+    """Read-only node values of the exact pass.
+
+    Nodes downstream of a non-point posterior have no value here: looking
+    one up (by ``[]``, ``get``, ``in``, ``items`` or ``values``) records the
+    read and raises ``KeyError``.
+    """
+
+    def __init__(self, nodes, values):
+        self._nodes = nodes
+        self._values = values
+        self.read_random = False
+
+    def __getitem__(self, node):
+        if node in self._values:
+            return self._values[node]
+        if node in self._nodes:
+            self.read_random = True
+        raise KeyError(node)
+
+    def __iter__(self):
+        return iter(self._nodes)
+
+    def __len__(self):
+        return len(self._nodes)
+
+
+def _exact_values(scm, posteriors, fixed, n):
+    """Values, shape (1, n), of every node that is a point mass per unit.
+
+    Clamped nodes take their clamped value; any other node is left out when
+    its posterior is not a point mass or one of its parents is left out.
+    """
+    values = {}
+    for node in scm.dag.nodes:
+        if node in fixed:
+            values[node] = np.broadcast_to(np.asarray(fixed[node], dtype=float), (1, n))
+        elif _point_mass(posteriors[node]) and all(
+            p in values for p in scm.dag.parents(node)
+        ):
+            u = posteriors[node][1][None, :]
+            values[node] = scm.assignments[node].evaluate(values, u)
+    return values
+
+
 def _decision_probs(scm, decision_fn, obs, interventions, mediators, mc_budget, seed):
     """P(decision = 1 | unit) under each intervention, sharing posterior draws.
 
     Returns one array per intervention, aligned to the units in ``obs``.
-    Blocks over units to bound memory; the block size is fixed, so results
-    are deterministic for a given seed.
+    A single exact pass is used when the decision reads no node downstream
+    of a non-point posterior: the decision is called once per intervention
+    on arrays of shape (1, n), through a mapping that refuses those nodes,
+    so the nodes it reads need not be declared. A decision that reads one
+    gets Monte Carlo over all nodes instead (``_mc_decision_probs``).
+    """
+    n = len(next(iter(obs.values())))
+    posteriors = _abduct(scm, obs)
+    held = {med: obs[med] for med in mediators}
+    outs = []
+    for do in interventions:
+        view = _ExactValues(scm.dag.nodes, _exact_values(scm, posteriors, {**do, **held}, n))
+        try:
+            dec = decision_fn(view)
+        except Exception:
+            if not view.read_random:
+                raise
+        if view.read_random:
+            return _mc_decision_probs(
+                scm, decision_fn, obs, posteriors, interventions, mediators, mc_budget, seed
+            )
+        outs.append(np.broadcast_to(np.asarray(dec, dtype=float), (1, n)).mean(axis=0))
+    return outs
+
+
+def _mc_decision_probs(
+    scm, decision_fn, obs, posteriors, interventions, mediators, mc_budget, seed
+):
+    """Monte Carlo form of ``_decision_probs`` over abducted ``posteriors``.
+
+    Blocks over units to bound memory; a block whose posteriors are all
+    point masses takes one draw. The block size is fixed, so results are
+    deterministic for a given seed.
     """
     n = len(next(iter(obs.values())))
     outs = [np.empty(n) for _ in interventions]
     rng = np.random.default_rng(seed)
     for start in range(0, n, _UNIT_BLOCK):
         sl = slice(start, min(start + _UNIT_BLOCK, n))
-        block = {k: v[sl] for k, v in obs.items()}
-        posteriors, exact = _abduct_block(scm, block)
-        draws = 1 if exact else int(mc_budget)
+        block = {node: (p[0],) + tuple(a[sl] for a in p[1:]) for node, p in posteriors.items()}
+        draws = 1 if all(_point_mass(p) for p in block.values()) else int(mc_budget)
         noise = {
-            node: _draw_posterior(posteriors[node], scm.noises[node], draws, rng)
+            node: _draw_posterior(block[node], scm.noises[node], draws, rng)
             for node in scm.dag.nodes
         }
+        held = {med: obs[med][sl] for med in mediators}
         m = sl.stop - sl.start
         for k, do in enumerate(interventions):
-            fixed = dict(do)
-            for med in mediators:
-                fixed[med] = block[med]
-            values = _propagate(scm, noise, fixed)
+            values = _propagate(scm, noise, {**do, **held})
             dec = np.asarray(decision_fn(values), dtype=float)
             dec = np.broadcast_to(dec, (draws, m))  # tolerate constant decisions
             outs[k][sl] = dec.mean(axis=0)

@@ -173,7 +173,7 @@ def _emit(doc, args):
         lines = ["key,value"] + [f"{k},{v}" for k, v in _flatten_csv(doc)]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -348,7 +348,7 @@ def cmd_counterfactual(args):
         print(line)
     if args.output:
         Path(args.output).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
         )
     return EXIT_OK
 
@@ -381,7 +381,7 @@ def cmd_experiment(args):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "experiment.json").write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
+        json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="utf-8",
     )
     (outdir / "experiment.csv").write_text(report.to_csv(), encoding="utf-8")

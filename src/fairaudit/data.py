@@ -55,6 +55,8 @@ class FeatureColumn:
             raise ValueError(f"unknown column kind {self.kind!r}")
         vals = np.asarray(self.values, dtype=float if self.kind == CONTINUOUS else int)
         object.__setattr__(self, "values", _readonly(vals))
+        if self.kind == CONTINUOUS and not np.isfinite(vals).all():
+            raise ValueError(f"column {self.name!r}: non-finite value")
         if self.kind == CATEGORICAL and len(vals):
             if vals.min() < 0:
                 raise ValueError(f"column {self.name!r}: negative category code")
@@ -189,6 +191,8 @@ class PredictionSet:
             object.__setattr__(self, "decisions", _readonly(d))
         if self.scores is not None:
             s = np.asarray(self.scores, dtype=float)
+            if not np.isfinite(s).all():
+                raise ValueError("scores must be finite")
             if len(s) and (s.min() < 0.0 or s.max() > 1.0):
                 raise ValueError("scores must lie in [0, 1]")
             object.__setattr__(self, "scores", _readonly(s))

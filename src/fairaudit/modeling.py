@@ -445,9 +445,9 @@ def save_model(model, path, policy=None):
         "final_grad_norm": model.final_grad_norm,
         "policy": None if policy is None else policy.to_json_dict(),
     }
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path):

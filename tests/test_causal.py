@@ -1,9 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fairaudit import causal
 from fairaudit.causal import (
+    _TOL,
+    _UNIT_BLOCK,
+    BERNOULLI,
     EXOGENOUS,
+    GAUSSIAN,
     LINEAR,
+    POINT,
     THRESHOLD,
     AbductionError,
     Assignment,
@@ -19,6 +29,9 @@ from fairaudit.causal import (
     expectation_intervention_gap,
     intervene,
     pcff_gap,
+    _draw_posterior,
+    _indicator,
+    _propagate,
     sample,
     simulate,
 )
@@ -504,3 +517,284 @@ class TestSerialization:
         bundled = bundled_scm(target)
         built = build_synth_scm(SynthConfig(target=target))
         assert bundled.to_json() == built.to_json()
+
+
+# The blocked Monte Carlo ``_decision_probs`` and the ``_abduct_block`` it
+# calls, from before the exact single pass, kept verbatim as bit-exact
+# references (only the reference's name differs).
+
+
+def _abduct_block(scm, obs):
+    """Noise posteriors per node for a block of fully observed units.
+
+    Full observation makes the posterior factorise: each node's noise is
+    pinned by its own value and its parents' values. Returns a dict
+    node -> ("point", u) | ("bern01", p1) | ("tnorm", lo, hi), and a flag
+    telling whether every posterior is a point mass.
+    """
+    posteriors, exact = {}, True
+    for node in scm.dag.nodes:
+        a, nz = scm.assignments[node], scm.noises[node]
+        x = obs[node]
+        if a.kind in (EXOGENOUS, LINEAR):
+            u = x - a.linear_part(obs) if a.kind == LINEAR else x.copy()
+            if nz.kind == BERNOULLI:
+                snapped = np.round(u)
+                bad = (np.abs(u - snapped) > _TOL) | ~np.isin(snapped, (0.0, 1.0))
+                if bad.any():
+                    raise AbductionError(
+                        f"node {node!r}: observed value inconsistent with "
+                        f"bernoulli noise at unit {int(np.flatnonzero(bad)[0])}"
+                    )
+                u = snapped
+            elif nz.kind == POINT and (np.abs(u - nz.value) > _TOL).any():
+                raise AbductionError(
+                    f"node {node!r}: observation inconsistent with point noise"
+                )
+            posteriors[node] = ("point", u)
+        else:  # threshold
+            bad = ~np.isin(np.round(x), (0.0, 1.0)) | (np.abs(x - np.round(x)) > _TOL)
+            if bad.any():
+                raise AbductionError(f"node {node!r}: threshold node observed non-binary")
+            xb = np.round(x).astype(bool)
+            g = a.linear_part(obs)
+            gb = np.broadcast_to(np.asarray(g, dtype=float), x.shape)
+            if nz.kind == GAUSSIAN:
+                edge = a.cutoff - gb
+                lo = np.where(xb, edge, -np.inf)
+                hi = np.where(xb, np.inf, edge)
+                posteriors[node] = ("tnorm", lo, hi)
+                exact = False
+            elif nz.kind == BERNOULLI:
+                ind0 = _indicator(gb + 0.0, a)
+                ind1 = _indicator(gb + 1.0, a)
+                ok0, ok1 = ind0 == xb, ind1 == xb
+                if (~ok0 & ~ok1).any():
+                    raise AbductionError(
+                        f"node {node!r}: no noise value consistent with observation"
+                    )
+                p1 = np.where(ok0 & ok1, nz.p, np.where(ok1, 1.0, 0.0))
+                posteriors[node] = ("bern01", p1)
+                if ((p1 > 0) & (p1 < 1)).any():
+                    exact = False
+            else:  # point noise
+                if (_indicator(gb + nz.value, a) != xb).any():
+                    raise AbductionError(
+                        f"node {node!r}: observation inconsistent with point noise"
+                    )
+                posteriors[node] = ("point", np.full(x.shape, nz.value))
+    return posteriors, exact
+
+
+def _reference_decision_probs(scm, decision_fn, obs, interventions, mediators, mc_budget, seed):
+    """P(decision = 1 | unit) under each intervention, sharing posterior draws.
+
+    Returns one array per intervention, aligned to the units in ``obs``.
+    Blocks over units to bound memory; the block size is fixed, so results
+    are deterministic for a given seed.
+    """
+    n = len(next(iter(obs.values())))
+    outs = [np.empty(n) for _ in interventions]
+    rng = np.random.default_rng(seed)
+    for start in range(0, n, _UNIT_BLOCK):
+        sl = slice(start, min(start + _UNIT_BLOCK, n))
+        block = {k: v[sl] for k, v in obs.items()}
+        posteriors, exact = _abduct_block(scm, block)
+        draws = 1 if exact else int(mc_budget)
+        noise = {
+            node: _draw_posterior(posteriors[node], scm.noises[node], draws, rng)
+            for node in scm.dag.nodes
+        }
+        m = sl.stop - sl.start
+        for k, do in enumerate(interventions):
+            fixed = dict(do)
+            for med in mediators:
+                fixed[med] = block[med]
+            values = _propagate(scm, noise, fixed)
+            dec = np.asarray(decision_fn(values), dtype=float)
+            dec = np.broadcast_to(dec, (draws, m))  # tolerate constant decisions
+            outs[k][sl] = dec.mean(axis=0)
+    return outs
+
+
+def _same(new, ref):
+    return len(new) == len(ref) and all(np.array_equal(a, b) for a, b in zip(new, ref))
+
+
+def _rule(nodes, weights, cutoff, mode):
+    """A 0/1 decision on a weighted sum of ``nodes``, read through ``mode``."""
+
+    def decide(v):
+        if mode == "get":
+            vals = {k: v.get(k, 0.0) for k in nodes}
+        elif mode == "items":
+            vals = {k: x for k, x in v.items() if k in nodes}
+        elif mode == "in":
+            vals = {k: v[k] if k in v else 0.0 for k in nodes}
+        else:
+            vals = {k: v[k] for k in nodes}
+        total = sum(w * vals[k] for k, w in zip(nodes, weights))
+        return np.asarray(total > cutoff, dtype=float)
+
+    return decide
+
+
+@st.composite
+def random_scms(draw):
+    """A random linear/threshold SCM with gaussian, bernoulli and point noise."""
+    k = draw(st.integers(2, 5))
+    names = tuple(f"N{i}" for i in range(k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges, assignments, noises = [], {}, {}
+    pilot = {}  # ancestral sample, to put each threshold's cutoff inside its range
+    for j, name in enumerate(names):
+        parents = [p for p in names[:j] if draw(st.integers(0, 3))]
+        edges += [(p, name) for p in parents]
+        noise = draw(st.sampled_from([GAUSSIAN, BERNOULLI, POINT]))
+        if noise == GAUSSIAN:
+            noises[name] = NoiseSpec.gaussian(float(rng.normal()), float(rng.uniform(0.3, 2)))
+        elif noise == BERNOULLI:
+            noises[name] = NoiseSpec.bernoulli(draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])))
+        else:
+            noises[name] = NoiseSpec.point(float(rng.normal()))
+        kind = draw(st.sampled_from([LINEAR, THRESHOLD] + ([] if parents else [EXOGENOUS])))
+        coeffs = {p: float(draw(st.sampled_from([-1.0, 0.5, 1.0, 2.0]))) for p in parents}
+        a = Assignment(kind) if kind == EXOGENOUS else Assignment(kind, float(rng.normal()), coeffs)
+        u = noises[name].draw(rng, 200)
+        if kind == THRESHOLD:
+            cutoff = float(np.quantile(a.linear_part(pilot) + u, rng.uniform(0.2, 0.8)))
+            a = Assignment(kind, a.intercept, coeffs, cutoff, draw(st.booleans()))
+        assignments[name] = a
+        pilot[name] = a.evaluate(pilot, u)
+    return Scm(Dag(names, tuple(edges)), assignments, noises)
+
+
+@st.composite
+def decision_problems(draw):
+    """A random or bundled SCM, units simulated from it, interventions on one
+    node, held mediators and a decision reading a random subset of nodes.
+
+    The bundled models add Y's truncated-normal posterior downstream of A,
+    which random small models reach only now and then."""
+    bundled = st.sampled_from(["high", "low"]).map(
+        lambda t: build_synth_scm(SynthConfig(target=t))
+    )
+    scm = draw(st.one_of(random_scms(), bundled))
+    names = scm.nodes
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(1, 3), st.integers(10, 40)))
+    obs, _ = simulate(scm, n, seed=int(rng.integers(2**32)))
+    target = draw(st.sampled_from(names[:-1]))
+    # forced values near the factual ones keep counterfactual flips uncertain
+    base = draw(st.sampled_from([0.0, float(np.mean(obs[target]))]))
+    shifts = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=1, max_size=2))
+    interventions = [{target: base + d} for d in shifts]
+    mediators = frozenset(
+        draw(st.lists(st.sampled_from([m for m in names if m != target]), max_size=2))
+    )
+    # half the decisions read only nodes downstream of the intervened one, if any
+    pool = draw(st.sampled_from([sorted(scm.descendants(target)) or names, names]))
+    read = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    weights = [float(rng.normal()) for _ in read]
+    # a cutoff inside the factual scores, so that decisions vary across units
+    cutoff = float(np.mean(sum(w * obs[r] for r, w in zip(read, weights))))
+    mode = draw(st.sampled_from(["getitem", "get", "items", "in"]))
+    decision = _rule(read, weights, cutoff, mode)
+    mc_budget = draw(st.sampled_from([1, 3, 16]))
+    seed = draw(st.integers(0, 2**16))
+    return scm, decision, obs, interventions, mediators, mc_budget, seed
+
+
+class TestExactPassAgainstMonteCarlo:
+    @settings(max_examples=300, deadline=None)
+    @given(decision_problems())
+    def test_bit_identical_to_blocked_monte_carlo(self, problem):
+        assert _same(causal._decision_probs(*problem), _reference_decision_probs(*problem))
+
+    @pytest.mark.parametrize("reads", [("X1",), ("X1", "X3")])
+    @pytest.mark.parametrize("mc_budget", [1, 4])
+    def test_blocks_with_their_own_exact_flag(self, reads, mc_budget):
+        # A -> X1 (gaussian), A -> X3 = 1[A + U >= 1] (bernoulli): with the
+        # A=0 units first, the first block's posteriors are all point masses
+        # (one draw) and the later blocks' are not (mc_budget draws)
+        dag = Dag(("A", "X1", "X3"), (("A", "X1"), ("A", "X3")))
+        scm = Scm(
+            dag,
+            {
+                "A": Assignment(EXOGENOUS),
+                "X1": Assignment(LINEAR, coeffs={"A": 0.5}),
+                "X3": Assignment(THRESHOLD, coeffs={"A": 1.0}, cutoff=1.0),
+            },
+            {
+                "A": NoiseSpec.bernoulli(0.5),
+                "X1": NoiseSpec.gaussian(0.0, 0.5),
+                "X3": NoiseSpec.bernoulli(0.5),
+            },
+            sensitive="A",
+        )
+        obs, _ = simulate(scm, 2 * _UNIT_BLOCK + 700, seed=41)
+        order = np.argsort(obs["A"], kind="stable")
+        obs = {k: v[order] for k, v in obs.items()}
+        assert obs["A"][_UNIT_BLOCK - 1] == 0.0 and obs["A"][-1] == 1.0
+        problem = (scm, _rule(reads, (1.0, 0.5), 0.8, "getitem"), obs,
+                   [{"A": 0.0}, {"A": 1.0}], frozenset(), mc_budget, 3)
+        assert _same(causal._decision_probs(*problem), _reference_decision_probs(*problem))
+
+    def test_several_monte_carlo_blocks(self):
+        scm = build_synth_scm(SynthConfig(target="high"))
+        obs = causal._observations_from_dataset(scm, sample(scm, _UNIT_BLOCK + 700, seed=42))
+        problem = (scm, _rule(("X1", "Y"), (1.0, 0.5), 0.8, "get"), obs,
+                   [{"A": 0.0}, {"A": 1.0}], frozenset({"X3"}), 4, 3)
+        assert _same(causal._decision_probs(*problem), _reference_decision_probs(*problem))
+
+    def test_decision_reading_y_stays_on_monte_carlo(self):
+        scm, ds = synth_units(n=200, seed=31)
+        obs = causal._observations_from_dataset(scm, ds)
+        fn = lambda v: ((v["Y"] + v["X1"]) > 1.0).astype(float)
+        problem = (scm, fn, obs, [{"A": 0.0}, {"A": 1.0}], frozenset({"X3"}), 64, 5)
+        probs = causal._decision_probs(*problem)
+        assert _same(probs, _reference_decision_probs(*problem))
+        assert any(((p > 0) & (p < 1)).any() for p in probs)  # really sampled
+
+    def test_point_mass_decision_called_once_per_intervention(self):
+        scm, ds = synth_units(n=300, seed=32)
+        shapes = []
+
+        def fn(v):
+            shapes.append(v["X1"].shape)
+            return v["X1"] + 0.5 * v["X2"] + v["X3"] > 1.0
+
+        gap = cff_gap(scm, fn, ds, 0.0, 1.0, mc_budget=64, seed=2)
+        n0 = int((ds.sensitive.values == 0).sum())
+        assert shapes == [(1, n0), (1, n0)]
+        obs = causal._observations_from_dataset(scm, ds)
+        unit_obs = {k: v[obs["A"] == 0.0] for k, v in obs.items()}
+        p_a, p_b = _reference_decision_probs(
+            scm, fn, unit_obs, [{"A": 0.0}, {"A": 1.0}], frozenset(), 64, 2
+        )
+        assert gap == float(np.abs(p_a - p_b).mean())
+
+    def test_unrelated_decision_error_is_reraised_unchanged(self):
+        scm, ds = synth_units(n=50, seed=33)
+        boom = RuntimeError("decision failed")
+        calls = []
+
+        def fn(v):
+            calls.append(v["X1"])
+            raise boom
+
+        with pytest.raises(RuntimeError) as info:
+            cff_gap(scm, fn, ds, 0.0, 1.0, mc_budget=8)
+        assert info.value is boom
+        assert len(calls) == 1  # no Monte Carlo retry
+        # a node the model does not have is the decision's own error
+        with pytest.raises(KeyError, match="X9"):
+            cff_gap(scm, lambda v: v["X9"], ds, 0.0, 1.0, mc_budget=8)
+
+    def test_non_finite_feature_rejected(self):
+        scm, ds = synth_units(n=20, seed=34)
+        x1 = ds.feature("X1").values.copy()
+        x1[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            cols = tuple(replace(c, values=x1) if c.name == "X1" else c for c in ds.features)
+            cff_gap(scm, lambda v: v["X1"] > 0, replace(ds, features=cols), 0.0, 1.0)

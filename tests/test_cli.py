@@ -390,6 +390,24 @@ class TestCounterfactualCli:
         assert "counterfactual X = 1.5" in out  # held at its factual value
         assert "counterfactual A = 0" in out
 
+    def test_non_finite_result_is_data_error(self, tmp_path, capsys):
+        # a nan unit value abducts to nan means; strict JSON refuses to emit them
+        path = tmp_path / "chain.json"
+        save_scm(chain_scm(), path)
+        report = tmp_path / "cf.json"
+        code = main(
+            [
+                "counterfactual",
+                "--scm", str(path),
+                "--unit", "A=1,X=nan",
+                "--do", "A=0",
+                "--output", str(report),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert not report.exists()
+        assert "data error" in capsys.readouterr().err
+
 
 class TestExperimentCli:
     def test_two_synthetic_blocks_and_outputs(self, tmp_path, capsys):

@@ -131,6 +131,16 @@ class TestContainers:
         with pytest.raises(ValueError):
             PredictionSet(scores=np.array([0.5, 1.2]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_scores_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PredictionSet(scores=[0.2, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_continuous_column_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="'x'.*non-finite"):
+            FeatureColumn("x", CONTINUOUS, np.array([1.0, bad]))
+
     def test_arrays_read_only(self):
         sa = SensitiveAttribute("a", np.array([0, 1]), ("x", "y"))
         with pytest.raises(ValueError):
