@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -169,11 +170,11 @@ def _flatten_csv(doc, prefix=""):
 
 
 def _emit(doc, args):
+    # strict JSON refuses nan/inf anywhere in the report, for either format
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.format == "csv":
         lines = ["key,value"] + [f"{k},{v}" for k, v in _flatten_csv(doc)]
         text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -295,7 +296,8 @@ def cmd_train(args):
         raise UsageError(
             "strategy must be full, ftu, supp:<threshold>, dp, or cdp:<column>"
         )
-    model = modeling.train(ds, spec, modeling.TrainConfig(args.lr, args.max_epochs), args.seed)
+    hyper = modeling.TrainConfig(args.max_epochs)
+    model = modeling.train(ds, spec, hyper, args.seed)
     policy = None
     if spec.strategy == modeling.DP_POST:
         policy = modeling.fit_dp_threshold(ds, model)
@@ -306,10 +308,17 @@ def cmd_train(args):
         dropped = ", ".join(f"{n} (|corr|={c:.3f})" for n, c in model.suppression.dropped)
         print(f"suppression dropped: {dropped or 'nothing'}", file=sys.stderr)
     print(
-        f"trained {spec.strategy} model: {model.epochs} epochs, "
+        f"trained {spec.strategy} model: {model.epochs} Newton iterations, "
         f"final gradient norm {model.final_grad_norm:.2e} -> {args.model_out}",
         file=sys.stderr,
     )
+    if not model.converged:
+        why = (
+            "the scores separate the classes, so no maximum-likelihood fit exists"
+            if model.final_grad_norm <= hyper.tol
+            else f"gradient norm above {hyper.tol:g}"
+        )
+        print(f"warning: training did not converge: {why}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -325,6 +334,8 @@ def _parse_kv(text, flag):
             out[key.strip()] = float(value)
         except ValueError:
             raise UsageError(f"{flag}: {value!r} is not a number") from None
+        if not math.isfinite(out[key.strip()]):
+            raise ValueError(f"{flag}: {value!r} is not a finite number")
     return out
 
 
@@ -341,15 +352,14 @@ def cmd_counterfactual(args):
         "draws": result.draws,
         "stderr": result.stderr,
     }
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     for node in scm.nodes:
         line = f"counterfactual {node} = {result.means[node]:g}"
         if result.stderr is not None:
             line += f" (stderr {result.stderr[node]:.2g})"
         print(line)
     if args.output:
-        Path(args.output).write_text(
-            json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
-        )
+        Path(args.output).write_text(text, encoding="utf-8")
     return EXIT_OK
 
 
@@ -387,6 +397,16 @@ def cmd_experiment(args):
     (outdir / "experiment.csv").write_text(report.to_csv(), encoding="utf-8")
     sys.stdout.write(report.to_csv())
     return EXIT_OK
+
+
+def _non_negative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
 
 
 def build_parser():
@@ -448,8 +468,10 @@ def build_parser():
     )
     p.add_argument("--drop", default=None, help="comma list of features to drop explicitly")
     p.add_argument("--model-out", required=True)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--max-epochs", type=int, default=5000)
+    p.add_argument(
+        "--max-epochs", type=_non_negative_int, default=5000,
+        help="cap on Newton iterations; 0 keeps the zero-weight model",
+    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("counterfactual", parents=[common], help="three-step counterfactual query")

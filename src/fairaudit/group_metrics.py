@@ -478,9 +478,13 @@ def apply_threshold(preds, policy, groups, strata=None):
     groups = np.asarray(groups, dtype=int)
     if strata is not None:
         strata = np.asarray(getattr(strata, "values", strata), dtype=int)
+    cell = np.stack([groups, groups if strata is None else strata], axis=1)
+    keys, first, inverse = np.unique(
+        cell, axis=0, return_index=True, return_inverse=True
+    )
+    # look cells up in row order, so a missing cell is reported as before
+    t = np.empty(len(keys))
+    for c in np.argsort(first):
+        t[c] = policy.threshold(keys[c, 0], None if strata is None else keys[c, 1])
     sc = preds.scores
-    dec = np.empty(len(sc), dtype=int)
-    for i in range(len(sc)):
-        t = policy.threshold(groups[i], None if strata is None else strata[i])
-        dec[i] = 1 if sc[i] >= t else 0
-    return PredictionSet(dec, sc)
+    return PredictionSet((sc >= t[inverse.reshape(-1)]).astype(int), sc)

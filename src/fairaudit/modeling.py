@@ -1,8 +1,9 @@
 """Built-in deterministic classifier and the bias-mitigation strategies.
 
-The classifier is logistic regression trained by full-batch gradient
-descent from a zero initialisation with a data-derived constant step, so
-training is bit-reproducible: no stochastic minibatching, no random init.
+The classifier is logistic regression fitted by damped Newton (IRLS)
+iterations from zero weights, so training is bit-reproducible: no random
+init, no minibatches. Linearly separable rows have no maximum-likelihood
+fit; the model then reports ``converged=False``.
 
 Mitigation strategies:
 
@@ -20,7 +21,7 @@ Mitigation strategies:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,15 +68,9 @@ class MitigationSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Gradient-descent settings.
+    """Newton settings: stop at gradient norm <= ``tol`` or after
+    ``max_epochs`` iterations (0 keeps the zero weights)."""
 
-    ``learning_rate=None`` derives a stable constant step from the design
-    matrix (1.8 divided by a bound on the log-loss Hessian's largest
-    eigenvalue); training stops at gradient norm <= ``tol`` or at
-    ``max_epochs``.
-    """
-
-    learning_rate: float | None = None
     max_epochs: int = 5000
     tol: float = 1e-8
 
@@ -195,7 +190,11 @@ def _encode(ds, enc):
 
 @dataclass(frozen=True)
 class ClassifierModel:
-    """Fitted logistic model plus its feature-encoding record."""
+    """Fitted logistic model plus its feature-encoding record.
+
+    ``converged``: the gradient norm reached ``tol`` and the scores do not
+    separate the training labels (if they do, no maximum-likelihood fit
+    exists)."""
 
     weights: np.ndarray
     intercept: float
@@ -204,6 +203,7 @@ class ClassifierModel:
     suppression: SuppressionReport | None = None
     epochs: int = 0
     final_grad_norm: float = float("nan")
+    converged: bool = False
 
     @property
     def trained_with_sensitive(self):
@@ -228,17 +228,13 @@ def log_loss_gradient(x, y, weights, intercept):
 
 def _sensitive_indicator_corr(ds, values):
     """Max |Pearson corr| of a column against the per-group indicators."""
-    best = 0.0
     v = values.astype(float)
     if v.std() == 0:
         return 0.0
-    for g in range(ds.sensitive.n_groups):
-        ind = (ds.sensitive.values == g).astype(float)
-        if ind.std() == 0:
-            continue
-        c = abs(float(np.corrcoef(v, ind)[0, 1]))
-        best = max(best, c)
-    return best
+    inds = [(ds.sensitive.values == g).astype(float) for g in range(ds.sensitive.n_groups)]
+    return max(
+        (abs(float(np.corrcoef(v, i)[0, 1])) for i in inds if i.std() != 0), default=0.0
+    )
 
 
 def _feature_corr(ds, col):
@@ -260,17 +256,15 @@ def train(ds, spec=MitigationSpec(), hyper=TrainConfig(), seed=0):
     sensitive attribute; the threshold policy itself is fitted separately
     (:func:`fit_dp_threshold` / :func:`fit_cdp_threshold`).
     """
-    if ds.target is None:
-        raise ValueError("training needs the ground-truth target")
+    if ds.target is None or ds.n == 0:
+        raise ValueError("training needs rows with the ground-truth target")
     names = list(ds.feature_names)
     suppression = None
     if spec.strategy == SUPPRESSION:
         dropped, kept = [], []
         for name in names:
             corr = _feature_corr(ds, ds.feature(name))
-            if name in spec.drop_features:
-                dropped.append((name, corr))
-            elif corr > spec.threshold:
+            if name in spec.drop_features or corr > spec.threshold:
                 dropped.append((name, corr))
             else:
                 kept.append(name)
@@ -284,23 +278,44 @@ def train(ds, spec=MitigationSpec(), hyper=TrainConfig(), seed=0):
     enc = _fit_encoder(ds, names, spec.uses_sensitive)
     x = _encode(ds, enc)
     y = ds.target.astype(float)
-    w = np.zeros(x.shape[1])
-    b = 0.0
-    if hyper.learning_rate is not None:
-        step = hyper.learning_rate
-    else:
-        # log-loss Hessian is bounded by mean ||(x,1)||^2 / 4
-        lam = (np.square(x).sum() / len(y) + 1.0) / 4.0 if len(y) else 1.0
-        step = 1.8 / max(lam, 1e-12)
-    epochs, gnorm = 0, float("inf")
-    for epochs in range(1, hyper.max_epochs + 1):
-        gw, gb = log_loss_gradient(x, y, w, b)
+    w, b, epochs, gnorm = _newton(x, y, hyper)
+    z = x @ w + b
+    separated = bool(np.all(np.where(y == 1, z, -z) > 0))
+    converged = gnorm <= hyper.tol and not separated
+    return ClassifierModel(w, b, enc, spec, suppression, epochs, gnorm, converged)
+
+
+def _mean_log_loss(z, y):
+    return float(np.logaddexp(0.0, np.where(y == 1, -z, z)).mean())
+
+
+def _newton(x, y, hyper):
+    """Damped Newton (IRLS) on the mean log loss over ``[x, 1]``, from zero.
+
+    The minimum-norm ``lstsq`` step copes with a singular Hessian (the
+    standardised one-hots of a two-level attribute are exact negatives).
+    The step halves until the loss decreases, with slack for its rounding
+    near the optimum; returns (weights, intercept, steps, gradient norm).
+    """
+    xd = np.hstack([x, np.ones((len(y), 1))])
+    theta, epochs = np.zeros(xd.shape[1]), 0
+    loss = _mean_log_loss(xd @ theta, y)
+    while True:
+        gw, gb = log_loss_gradient(x, y, theta[:-1], theta[-1])
         gnorm = float(np.sqrt(np.square(gw).sum() + gb * gb))
-        if gnorm <= hyper.tol:
-            break
-        w = w - step * gw
-        b = b - step * gb
-    return ClassifierModel(w, b, enc, spec, suppression, epochs, gnorm)
+        if gnorm <= hyper.tol or epochs >= hyper.max_epochs:
+            return theta[:-1], float(theta[-1]), epochs, gnorm
+        grad, p = np.append(gw, gb), _sigmoid(xd @ theta)
+        hess = xd.T @ (xd * (p * (1.0 - p))[:, None]) / len(y)
+        step = -np.linalg.lstsq(hess, grad, rcond=None)[0]
+        t, slope, slack = 1.0, float(grad @ step), 1e-13 * loss
+        while (new := _mean_log_loss(xd @ (theta + t * step), y)) > (
+            loss + 1e-4 * t * slope + slack
+        ):
+            if t < 1e-12:  # no descent along the Newton direction
+                return theta[:-1], float(theta[-1]), epochs, gnorm
+            t /= 2
+        theta, loss, epochs = theta + t * step, new, epochs + 1
 
 
 def predict(model, ds, policy=None):
@@ -314,12 +329,9 @@ def predict(model, ds, policy=None):
     scores = _sigmoid(x @ model.weights + model.intercept)
     if policy is None:
         return PredictionSet((scores >= 0.5).astype(int), scores)
-    strata = None
-    if policy.stratum_column is not None:
-        strata, _ = ds.column_codes(policy.stratum_column)
-    return apply_threshold(
-        PredictionSet(scores=scores), policy, ds.sensitive, strata
-    )
+    col = policy.stratum_column
+    strata = None if col is None else ds.column_codes(col)[0]
+    return apply_threshold(PredictionSet(scores=scores), policy, ds.sensitive, strata)
 
 
 def _rate_thresholds(scores, groups, n_groups, rate):
@@ -329,7 +341,7 @@ def _rate_thresholds(scores, groups, n_groups, rate):
         sg = np.sort(scores[groups == g])
         if len(sg) == 0:
             continue
-        if len(sg) and sg[0] == sg[-1]:
+        if sg[0] == sg[-1]:
             flags.append(f"constant scores in group {g}")
         k = int(np.ceil(rate * len(sg)))
         if k <= 0:
@@ -347,34 +359,43 @@ def fit_dp_threshold_scores(scores, groups, n_groups, target, grid_size=100):
     rows, which bounds the acceptance-rate gap by 1/min_g(n_g) (ties at
     the threshold can widen it; constant-score groups are flagged). Keeps
     the r with the best accuracy against ``target``, preferring smaller r
-    on ties.
+    on ties. Each group is sorted once: at every rate its rows from the
+    first copy of the threshold score up are accepted, so its correct
+    count is the positives from there up plus the negatives below.
     """
     scores = np.asarray(scores, dtype=float)
     groups = np.asarray(groups, dtype=int)
     target = np.asarray(target, dtype=int)
-    best = None
-    for i in range(grid_size + 1):
-        r = i / grid_size
-        cells, flags = _rate_thresholds(scores, groups, n_groups, r)
-        row_t = np.array([cells[g] for g in groups]) if len(scores) else np.zeros(0)
-        acc = float(((scores >= row_t).astype(int) == target).mean()) if len(scores) else 0.0
-        if best is None or acc > best[0]:
-            best = (acc, r, cells, flags)
-    _, r, cells, flags = best
+    rates = np.array([i / grid_size for i in range(grid_size + 1)])
+    correct = np.zeros(len(rates), dtype=np.int64)
+    for g in range(n_groups):
+        m = groups == g
+        order = np.argsort(scores[m])
+        sg, yg = scores[m][order], target[m][order]
+        k = np.ceil(rates * len(sg)).astype(np.int64)
+        start = np.full(len(rates), len(sg))
+        start[k > 0] = np.searchsorted(sg, sg[len(sg) - k[k > 0]], side="left")
+        pos = np.concatenate(([0], np.cumsum(yg == 1)))
+        neg = np.concatenate(([0], np.cumsum(yg == 0)))
+        correct += pos[-1] - pos[start] + neg[start]
+    r = float(rates[np.argmax(correct)])
+    cells, flags = _rate_thresholds(scores, groups, n_groups, r)
     return ThresholdPolicy(
-        {(g, None): t for g, t in cells.items()},
-        target_rate=r,
-        flags=tuple(flags),
+        {(g, None): t for g, t in cells.items()}, target_rate=r, flags=tuple(flags)
     )
+
+
+def _fit_scores(ds, model):
+    if ds.target is None:
+        raise ValueError("threshold fitting needs the ground-truth target")
+    return predict(model, ds).scores
 
 
 def fit_dp_threshold(ds, model, grid_size=100):
     """Per-group thresholds enforcing a common acceptance rate on ``ds``."""
-    if ds.target is None:
-        raise ValueError("threshold fitting needs the ground-truth target")
-    preds = predict(model, ds)
     return fit_dp_threshold_scores(
-        preds.scores, ds.sensitive.values, ds.sensitive.n_groups, ds.target, grid_size
+        _fit_scores(ds, model), ds.sensitive.values, ds.sensitive.n_groups,
+        ds.target, grid_size,
     )
 
 
@@ -386,10 +407,9 @@ def fit_cdp_threshold(ds, model, conditioning, grid_size=100, min_count=30):
     the report can disclose them.
     """
     codes, labels = ds.column_codes(conditioning)
-    glob = fit_dp_threshold(ds, model, grid_size)
-    preds = predict(model, ds)
-    scores, groups = preds.scores, ds.sensitive.values
+    scores, groups = _fit_scores(ds, model), ds.sensitive.values
     n_groups = ds.sensitive.n_groups
+    glob = fit_dp_threshold_scores(scores, groups, n_groups, ds.target, grid_size)
     cells, fallback, flags = {}, [], list(glob.flags)
     for s in range(len(labels)):
         m = codes == s
@@ -399,20 +419,12 @@ def fit_cdp_threshold(ds, model, conditioning, grid_size=100, min_count=30):
                 fallback.append((g, s))
             flags.append(f"stratum {labels[s]!r} below min_count; global policy used")
             continue
-        sub_scores, sub_groups = scores[m], groups[m]
-        sub_y = ds.target[m]
-        best = None
-        for i in range(grid_size + 1):
-            r = i / grid_size
-            sub_cells, _ = _rate_thresholds(sub_scores, sub_groups, n_groups, r)
-            row_t = np.array([sub_cells[g] for g in sub_groups])
-            acc = float(((sub_scores >= row_t).astype(int) == sub_y).mean())
-            if best is None or acc > best[0]:
-                best = (acc, r, sub_cells)
-        _, r, sub_cells = best
+        sub = fit_dp_threshold_scores(
+            scores[m], groups[m], n_groups, ds.target[m], grid_size
+        ).cells
         for g in range(n_groups):
-            if g in sub_cells:
-                cells[(g, s)] = sub_cells[g]
+            if (g, None) in sub:
+                cells[(g, s)] = sub[(g, None)]
             else:
                 cells[(g, s)] = glob.threshold(g)
                 fallback.append((g, s))
@@ -432,17 +444,11 @@ def save_model(model, path, policy=None):
         "weights": model.weights.tolist(),
         "intercept": model.intercept,
         "encoder": model.encoder.to_json_dict(),
-        "spec": {
-            "strategy": model.spec.strategy,
-            "threshold": model.spec.threshold,
-            "drop_features": list(model.spec.drop_features),
-            "conditioning": model.spec.conditioning,
-        },
-        "suppression": None
-        if model.suppression is None
-        else model.suppression.to_json_dict(),
+        "spec": asdict(model.spec),
+        "suppression": None if model.suppression is None else model.suppression.to_json_dict(),
         "epochs": model.epochs,
         "final_grad_norm": model.final_grad_norm,
+        "converged": model.converged,
         "policy": None if policy is None else policy.to_json_dict(),
     }
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
@@ -451,33 +457,27 @@ def save_model(model, path, policy=None):
 
 
 def load_model(path):
-    """Load a model saved by :func:`save_model`; returns (model, policy)."""
+    """Load a model saved by :func:`save_model`; returns (model, policy).
+
+    Files written before ``converged`` was recorded derive it from the
+    gradient norm and the default tolerance.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    spec = MitigationSpec(
-        doc["spec"]["strategy"],
-        doc["spec"]["threshold"],
-        tuple(doc["spec"]["drop_features"]),
-        doc["spec"]["conditioning"],
-    )
     supp = doc.get("suppression")
-    suppression = None
-    if supp is not None:
-        suppression = SuppressionReport(
-            supp["threshold"],
-            tuple((n, c) for n, c in supp["dropped"]),
-            tuple(supp["kept"]),
-        )
+    suppression = None if supp is None else SuppressionReport(
+        supp["threshold"], tuple(map(tuple, supp["dropped"])), tuple(supp["kept"])
+    )
+    grad_norm = doc.get("final_grad_norm", float("nan"))
     model = ClassifierModel(
         np.asarray(doc["weights"], dtype=float),
         float(doc["intercept"]),
         _Encoder.from_json_dict(doc["encoder"]),
-        spec,
+        MitigationSpec(**doc["spec"]),
         suppression,
         doc.get("epochs", 0),
-        doc.get("final_grad_norm", float("nan")),
+        grad_norm,
+        doc.get("converged", grad_norm <= TrainConfig().tol),
     )
-    policy = None
-    if doc.get("policy") is not None:
-        policy = ThresholdPolicy.from_json_dict(doc["policy"])
-    return model, policy
+    policy = doc.get("policy")
+    return model, None if policy is None else ThresholdPolicy.from_json_dict(policy)

@@ -321,6 +321,59 @@ class TestTrainCli:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def train(self, data, schema, model, *extra):
+        return main(
+            [
+                "train",
+                "--data", str(data),
+                "--schema", str(schema),
+                "--strategy", "dp",
+                "--model-out", str(model),
+                *extra,
+            ]
+        )
+
+    def test_converged_fit_is_recorded_without_warning(self, tmp_path, capsys):
+        data, schema = self.synth_files(tmp_path, n=800)
+        model = tmp_path / "model.json"
+        assert self.train(data, schema, model) == EXIT_OK
+        err = capsys.readouterr().err
+        assert "Newton iterations" in err and "warning" not in err
+        assert json.loads(model.read_text())["converged"] is True
+
+    def test_zero_iterations_write_the_zero_model(self, tmp_path, capsys):
+        data, schema = self.synth_files(tmp_path, n=200)
+        model = tmp_path / "model.json"
+        assert self.train(data, schema, model, "--max-epochs", "0") == EXIT_OK
+        doc = json.loads(model.read_text())
+        assert doc["epochs"] == 0 and doc["converged"] is False
+        assert doc["weights"] == [0.0] * len(doc["weights"]) and doc["intercept"] == 0.0
+        assert 0.0 < doc["final_grad_norm"] < 1.0
+        assert "warning: training did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [("--max-epochs", "-1"), ("--max-epochs", "x"), ("--lr", "0.1")])
+    def test_bad_training_options_are_usage_errors(self, tmp_path, extra):
+        data, schema = self.synth_files(tmp_path, n=100)
+        model = tmp_path / "model.json"
+        assert self.train(data, schema, model, *extra) == EXIT_USAGE
+        assert not model.exists()
+
+    def test_separable_classes_warn(self, tmp_path, capsys):
+        rows = ["g,x,y"]
+        for i in range(40):  # x <= -6 where y = 0 and x >= 5 where y = 1
+            y = int(i >= 20)
+            rows.append(f"{'ab'[i % 2]},{i - 20 + (5 if y else -5)},{y}")
+        data = tmp_path / "sep.csv"
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        schema = tmp_path / "schema.cfg"
+        schema.write_text("sensitive = g\ntarget = y\ncontinuous = x\n", encoding="utf-8")
+        model = tmp_path / "model.json"
+        assert self.train(data, schema, model) == EXIT_OK
+        assert "separate the classes" in capsys.readouterr().err
+        doc = json.loads(model.read_text())
+        assert doc["converged"] is False
+        assert all(np.isfinite(doc["weights"]))
+
     def test_bad_strategy_is_usage_error(self, tmp_path):
         data, schema = self.synth_files(tmp_path, n=100)
         code = main(
@@ -407,6 +460,27 @@ class TestCounterfactualCli:
         assert code == EXIT_DATA
         assert not report.exists()
         assert "data error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_unit_value_is_data_error(self, tmp_path, capsys, value):
+        path = tmp_path / "chain.json"
+        save_scm(chain_scm(), path)
+        report = tmp_path / "cf.json"
+        code = main(
+            [
+                "counterfactual",
+                "--scm", str(path),
+                "--unit", f"A=1,X={value}",
+                "--do", "A=0",
+                "--output", str(report),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert not report.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a finite number" in captured.err
 
 
 class TestExperimentCli:
@@ -498,6 +572,29 @@ class TestGlobalOptions:
         assert lines[0] == "key,value"
         keys = {line.split(",", 1)[0] for line in lines[1:]}
         assert "metrics.demographic_parity.gap" in keys
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_non_finite_report_value_is_data_error(
+        self, toy_csv, tmp_path, monkeypatch, capsys, fmt, to_file
+    ):
+        data, schema = toy_csv
+        monkeypatch.setattr(
+            "fairaudit.individual_metrics.consistency", lambda *a, **k: float("nan")
+        )
+        out = tmp_path / "report.txt"
+        argv = [
+            "audit",
+            "--data", str(data),
+            "--schema", str(schema),
+            "--predictions", "yhat=pred",
+            "--metrics", "consistency",
+            "--format", fmt,
+        ]
+        code = main(argv + (["--output", str(out)] if to_file else []))
+        assert code == EXIT_DATA
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,14 +1,21 @@
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from fairaudit.data import (
     CATEGORICAL,
     CONTINUOUS,
     Dataset,
     FeatureColumn,
+    PredictionSet,
     SensitiveAttribute,
 )
-from fairaudit.group_metrics import demographic_parity
+from fairaudit.group_metrics import ThresholdPolicy, apply_threshold, demographic_parity
 from fairaudit.individual_metrics import flip_assessment
 from fairaudit.modeling import (
     CDP_POST,
@@ -16,11 +23,15 @@ from fairaudit.modeling import (
     FTU,
     FULL,
     SUPPRESSION,
+    ClassifierModel,
     MitigationSpec,
     TrainConfig,
+    _encode,
+    _Encoder,
     _rate_thresholds,
     fit_cdp_threshold,
     fit_dp_threshold,
+    fit_dp_threshold_scores,
     load_model,
     log_loss_gradient,
     predict,
@@ -362,3 +373,335 @@ class TestPersistence:
         loaded, policy = load_model(path)
         assert policy is None
         assert {n for n, _ in loaded.suppression.dropped} == {"X1", "X3"}
+
+
+# ---------------------------------------------------------------------------
+# Newton fit against a brute-force optimiser
+# ---------------------------------------------------------------------------
+
+
+def _mean_loss(z, y):
+    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+
+def _random_design(rng, n, n_cont, cat_levels, overlap):
+    """Features, group codes and labels; the first ``overlap`` rows each
+    contain every categorical level and group and are repeated with the
+    opposite label, so no direction separates the classes and the
+    maximum-likelihood fit exists."""
+
+    def codes(k):
+        head = rng.permutation(np.arange(overlap) % k)
+        return np.concatenate([head, rng.integers(0, k, n - overlap)])
+
+    cols, logit = [], rng.normal()
+    for j in range(n_cont):
+        v = rng.normal(size=n) * rng.uniform(0.2, 5.0) + rng.normal()
+        cols.append(FeatureColumn(f"c{j}", CONTINUOUS, v))
+        logit = logit + rng.normal() * (v - v.mean()) / v.std()
+    for j, k in enumerate(cat_levels):
+        v = codes(k)
+        cols.append(FeatureColumn(f"k{j}", CATEGORICAL, v, tuple(f"l{i}" for i in range(k))))
+        logit = logit + rng.normal(size=k)[v]
+    a = codes(2)
+    logit = logit + rng.normal() * a
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(int)
+    if overlap:
+        idx = np.concatenate([np.arange(n), np.arange(overlap)])
+        y = np.concatenate([y, 1 - y[:overlap]])
+        cols = [
+            FeatureColumn(c.name, c.kind, c.values[idx], c.labels) for c in cols
+        ]
+        a = a[idx]
+    return Dataset(tuple(cols), SensitiveAttribute("g", a, ("g0", "g1")), target=y)
+
+
+@st.composite
+def _designs(draw, separable=False):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_cont = draw(st.integers(1 if separable else 0, 3))
+    cat_levels = draw(st.lists(st.integers(2, 4), max_size=2))
+    strategy = draw(st.sampled_from((FULL, FTU)))
+    if strategy == FTU and n_cont == 0 and not cat_levels:
+        n_cont = 1
+    n = draw(st.integers(40, 150))
+    ds = _random_design(rng, n, n_cont, cat_levels, 0 if separable else 30)
+    return ds, strategy
+
+
+class TestNewtonAgainstBruteForce:
+    @settings(max_examples=60, deadline=None)
+    @given(_designs())
+    def test_matches_bfgs_optimum(self, case):
+        ds, strategy = case
+        model = train(ds, MitigationSpec(strategy))
+        assert model.converged
+        assert model.final_grad_norm <= TrainConfig().tol
+        x = np.hstack([_encode(ds, model.encoder), np.ones((ds.n, 1))])
+        y = ds.target.astype(float)
+
+        def loss_and_grad(theta):
+            z = x @ theta
+            return _mean_loss(z, y), x.T @ (1.0 / (1.0 + np.exp(-z)) - y) / len(y)
+
+        ref = minimize(
+            loss_and_grad, np.zeros(x.shape[1]), jac=True, method="BFGS",
+            options={"gtol": 1e-11, "maxiter": 10000},
+        )
+        newton_scores = predict(model, ds).scores
+        z = x @ np.append(model.weights, model.intercept)
+        assert _mean_loss(z, y) <= ref.fun + 1e-12
+        assert np.abs(newton_scores - 1.0 / (1.0 + np.exp(-x @ ref.x))).max() <= 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(_designs(separable=True), st.floats(0.05, 1.0))
+    def test_separable_rows_are_reported(self, case, gap):
+        ds, strategy = case
+        # relabel by a margin on the first continuous feature: no
+        # maximum-likelihood fit exists
+        v = ds.features[0].values
+        y = (v > np.median(v)).astype(int)
+        shifted = FeatureColumn(
+            ds.features[0].name, CONTINUOUS, v + np.where(y == 1, gap, -gap)
+        )
+        ds = Dataset((shifted,) + ds.features[1:], ds.sensitive, target=y)
+        model = train(ds, MitigationSpec(strategy))
+        assert not model.converged
+        assert np.all(np.isfinite(model.weights)) and np.isfinite(model.intercept)
+        assert np.isfinite(model.final_grad_norm)
+
+    def test_zero_iterations_report_the_gradient_at_zero(self):
+        ds = simple_ds(n=50)
+        model = train(ds, MitigationSpec(FULL), TrainConfig(max_epochs=0))
+        assert model.epochs == 0 and not model.converged
+        assert np.all(model.weights == 0) and model.intercept == 0
+        gw, gb = log_loss_gradient(
+            _encode(ds, model.encoder), ds.target.astype(float), model.weights, 0.0
+        )
+        assert model.final_grad_norm == float(np.sqrt(np.square(gw).sum() + gb * gb))
+
+    @pytest.mark.filterwarnings("ignore:dataset has 0 rows")
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="rows"):
+            train(simple_ds(n=10).take(np.arange(0)), MitigationSpec(FTU))
+
+    def test_converged_round_trips_and_is_derived_for_old_files(self, tmp_path):
+        ds = simple_ds(n=300, seed=2)
+        model = train(ds, MitigationSpec(FULL))
+        assert model.converged and model.epochs < 30
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert load_model(path)[0].converged
+        doc = json.loads(path.read_text())
+        del doc["converged"]
+        path.write_text(json.dumps(doc))
+        assert load_model(path)[0].converged
+        doc["final_grad_norm"] = 1e-3
+        path.write_text(json.dumps(doc))
+        assert not load_model(path)[0].converged
+
+
+# ---------------------------------------------------------------------------
+# Vectorised threshold scans against the per-row loops they replaced
+# ---------------------------------------------------------------------------
+# Verbatim copies of the earlier per-row implementations (renamed, most
+# docstrings dropped); the vectorised ones must agree with them exactly.
+
+
+def _old_rate_thresholds(scores, groups, n_groups, rate):
+    """Per-group threshold accepting the ceil(rate * n_g) highest scores."""
+    cells, flags = {}, []
+    for g in range(n_groups):
+        sg = np.sort(scores[groups == g])
+        if len(sg) == 0:
+            continue
+        if len(sg) and sg[0] == sg[-1]:
+            flags.append(f"constant scores in group {g}")
+        k = int(np.ceil(rate * len(sg)))
+        if k <= 0:
+            cells[g] = float(np.nextafter(sg[-1], np.inf))  # accept nobody
+        else:
+            cells[g] = float(sg[len(sg) - k])
+    return cells, flags
+
+
+def _old_fit_dp_threshold_scores(scores, groups, n_groups, target, grid_size=100):
+    scores = np.asarray(scores, dtype=float)
+    groups = np.asarray(groups, dtype=int)
+    target = np.asarray(target, dtype=int)
+    best = None
+    for i in range(grid_size + 1):
+        r = i / grid_size
+        cells, flags = _old_rate_thresholds(scores, groups, n_groups, r)
+        row_t = np.array([cells[g] for g in groups]) if len(scores) else np.zeros(0)
+        acc = float(((scores >= row_t).astype(int) == target).mean()) if len(scores) else 0.0
+        if best is None or acc > best[0]:
+            best = (acc, r, cells, flags)
+    _, r, cells, flags = best
+    return ThresholdPolicy(
+        {(g, None): t for g, t in cells.items()},
+        target_rate=r,
+        flags=tuple(flags),
+    )
+
+
+def _old_fit_dp_threshold(ds, model, grid_size=100):
+    if ds.target is None:
+        raise ValueError("threshold fitting needs the ground-truth target")
+    preds = predict(model, ds)
+    return _old_fit_dp_threshold_scores(
+        preds.scores, ds.sensitive.values, ds.sensitive.n_groups, ds.target, grid_size
+    )
+
+
+def _old_fit_cdp_threshold(ds, model, conditioning, grid_size=100, min_count=30):
+    codes, labels = ds.column_codes(conditioning)
+    glob = _old_fit_dp_threshold(ds, model, grid_size)
+    preds = predict(model, ds)
+    scores, groups = preds.scores, ds.sensitive.values
+    n_groups = ds.sensitive.n_groups
+    cells, fallback, flags = {}, [], list(glob.flags)
+    for s in range(len(labels)):
+        m = codes == s
+        if int(m.sum()) < min_count:
+            for g in range(n_groups):
+                cells[(g, s)] = glob.threshold(g)
+                fallback.append((g, s))
+            flags.append(f"stratum {labels[s]!r} below min_count; global policy used")
+            continue
+        sub_scores, sub_groups = scores[m], groups[m]
+        sub_y = ds.target[m]
+        best = None
+        for i in range(grid_size + 1):
+            r = i / grid_size
+            sub_cells, _ = _old_rate_thresholds(sub_scores, sub_groups, n_groups, r)
+            row_t = np.array([sub_cells[g] for g in sub_groups])
+            acc = float(((sub_scores >= row_t).astype(int) == sub_y).mean())
+            if best is None or acc > best[0]:
+                best = (acc, r, sub_cells)
+        _, r, sub_cells = best
+        for g in range(n_groups):
+            if g in sub_cells:
+                cells[(g, s)] = sub_cells[g]
+            else:
+                cells[(g, s)] = glob.threshold(g)
+                fallback.append((g, s))
+    return ThresholdPolicy(
+        cells,
+        target_rate=glob.target_rate,
+        stratum_column=conditioning,
+        fallback_cells=tuple(fallback),
+        flags=tuple(flags),
+    )
+
+
+def _old_apply_threshold(preds, policy, groups, strata=None):
+    if isinstance(groups, SensitiveAttribute):
+        groups = groups.values
+    groups = np.asarray(groups, dtype=int)
+    if strata is not None:
+        strata = np.asarray(getattr(strata, "values", strata), dtype=int)
+    sc = preds.scores
+    dec = np.empty(len(sc), dtype=int)
+    for i in range(len(sc)):
+        t = policy.threshold(groups[i], None if strata is None else strata[i])
+        dec[i] = 1 if sc[i] >= t else 0
+    return PredictionSet(dec, sc)
+
+
+@st.composite
+def _scan_cases(draw):
+    """Scores with heavy ties, possibly constant or empty groups, strata
+    that may miss a group or fall below ``min_count``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 120))
+    n_groups = draw(st.integers(2, 4))
+    present = rng.choice(n_groups, size=draw(st.integers(1, n_groups)), replace=False)
+    groups = rng.choice(present, size=n)
+    levels = draw(st.sampled_from((1, 2, 3, 10, 1000)))
+    x = rng.integers(0, levels, n).astype(float)
+    const = [g for g in present if draw(st.booleans())]
+    x[np.isin(groups, const)] = 0.5
+    n_strata = draw(st.integers(1, 3))
+    strata = rng.integers(0, n_strata, n)
+    if n_strata > 1 and n and draw(st.booleans()):
+        missing = rng.choice(present)  # this group never falls in stratum 0
+        strata[(groups == missing) & (strata == 0)] = 1
+    y = (rng.random(n) < (x + 1) / (levels + 1)).astype(int)
+    return {
+        "groups": groups,
+        "n_groups": n_groups,
+        "x": x,
+        "strata": strata,
+        "n_strata": n_strata,
+        "y": y,
+        "grid_size": draw(st.sampled_from((1, 7, 100))),
+        "min_count": draw(st.sampled_from((0, 1, 5, 30))),
+    }
+
+
+def _scan_dataset(c):
+    sa = SensitiveAttribute("g", c["groups"], tuple(f"g{i}" for i in range(c["n_groups"])))
+    labels = tuple(f"s{i}" for i in range(c["n_strata"]))
+    cols = (
+        FeatureColumn("x", CONTINUOUS, c["x"]),
+        FeatureColumn("s", CATEGORICAL, c["strata"], labels),
+    )
+    ds = Dataset(cols, sa, target=c["y"])
+    # scores = sigmoid(x / 2): a fixed increasing map, so ties in x stay ties
+    enc = _Encoder((("x", CONTINUOUS, None),), False, (), np.zeros(1), np.ones(1))
+    return ds, ClassifierModel(np.array([0.5]), 0.0, enc, MitigationSpec(FTU))
+
+
+def _same_policy(new, old):
+    assert new.cells == old.cells
+    assert new.target_rate == old.target_rate
+    assert new.flags == old.flags
+    assert new.fallback_cells == old.fallback_cells
+    assert new.stratum_column == old.stratum_column
+
+
+@pytest.mark.filterwarnings("ignore:dataset has 0 rows", "ignore::RuntimeWarning")
+class TestScansBitIdentical:
+    @settings(max_examples=300, deadline=None)
+    @given(_scan_cases())
+    def test_dp_scan(self, c):
+        ds, model = _scan_dataset(c)
+        scores = predict(model, ds).scores
+        args = (scores, c["groups"], c["n_groups"], c["y"], c["grid_size"])
+        new, old = fit_dp_threshold_scores(*args), _old_fit_dp_threshold_scores(*args)
+        _same_policy(new, old)
+        new_dec = apply_threshold(PredictionSet(scores=scores), new, ds.sensitive)
+        old_dec = _old_apply_threshold(PredictionSet(scores=scores), old, ds.sensitive)
+        assert np.array_equal(new_dec.decisions, old_dec.decisions)
+        assert new_dec.decisions.dtype == old_dec.decisions.dtype
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scan_cases())
+    def test_cdp_scan(self, c):
+        ds, model = _scan_dataset(c)
+        kw = {"grid_size": c["grid_size"], "min_count": c["min_count"]}
+        try:
+            old = _old_fit_cdp_threshold(ds, model, "s", **kw)
+        except ValueError as exc:  # a group with no rows at all has no cell
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                fit_cdp_threshold(ds, model, "s", **kw)
+            return
+        new = fit_cdp_threshold(ds, model, "s", **kw)
+        _same_policy(new, old)
+        scores = predict(model, ds).scores
+        strata = ds.column_codes("s")[0]
+        new_dec = apply_threshold(PredictionSet(scores=scores), new, ds.sensitive, strata)
+        old_dec = _old_apply_threshold(PredictionSet(scores=scores), old, ds.sensitive, strata)
+        assert np.array_equal(new_dec.decisions, old_dec.decisions)
+        assert np.array_equal(predict(model, ds, new).decisions, new_dec.decisions)
+
+    def test_missing_cell_error_names_the_first_row_cell(self):
+        policy = ThresholdPolicy({(0, None): 0.5})
+        preds = PredictionSet(scores=np.array([0.1, 0.9, 0.2]))
+        for groups in ([0, 2, 1], [1, 0, 2]):
+            with pytest.raises(ValueError) as new_err:
+                apply_threshold(preds, policy, np.array(groups))
+            with pytest.raises(ValueError) as old_err:
+                _old_apply_threshold(preds, policy, np.array(groups))
+            assert str(new_err.value) == str(old_err.value)

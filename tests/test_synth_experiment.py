@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from fairaudit.causal import sample
+from fairaudit.cli import main
 from fairaudit.info_theory import symmetric_uncertainty_codes
 from fairaudit.synth_experiment import (
     APPROACHES,
@@ -142,3 +144,41 @@ class TestRunExperiment:
         assert json.dumps(r1.to_json_dict(), sort_keys=True) == json.dumps(
             r2.to_json_dict(), sort_keys=True
         )
+
+
+# sha256 of (experiment.csv, experiment.json) written by
+# `fairaudit experiment --n 15000 --seed S` with the default noise choice
+PINNED_OUTPUTS = {
+    0: (
+        "1344c4cae11e4061bf041cb3fcfbf2a2e49f6761d3956f4289637236d5986d4f",
+        "b4e5a03e0ce864a51f2a073b61e1dfc01c73861e95588b49f1b645c51a68a2cf",
+    ),
+    1: (
+        "ac36ada75e39ccf6e211c4621db6fe7211e70be412d7b921c62f77d743c73d6e",
+        "69020f29a1ffd6f8bfe6bb95d06205e6e9a17cd95a2ba94bfe04c2b4b5291335",
+    ),
+    2: (
+        "5f30d8e8b72592facdc68bf95fb40ddc5f75e4c08aab7502e68e5a89062f228d",
+        "5efae84d92fd72eb7faf6231121edba918cf9d6e062f4442866d5603d0a597f1",
+    ),
+    3: (
+        "b875530574bc36fac4f1950a760b8d1fc5459e5a7276ae79c15bcf708347937e",
+        "4a89af7045cffc0557b3b4db37628de12a22d5c3ae990d15cdb85751bc0a3c21",
+    ),
+    4: (
+        "aed624d859bff713fcf2d16a9a1c082082ad8c283e278f36276d426469902992",
+        "5e252ce0d6f51419037ffa774c26405a2ea7487191adc29f3226656aadf528b3",
+    ),
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("seed", sorted(PINNED_OUTPUTS))
+    def test_experiment_files_byte_identical(self, seed, tmp_path, capsys):
+        code = main(["experiment", "--n", "15000", "--seed", str(seed), "--out", str(tmp_path)])
+        assert code == 0
+        got = tuple(
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("experiment.csv", "experiment.json")
+        )
+        assert got == PINNED_OUTPUTS[seed]
