@@ -2,20 +2,29 @@
 
 Exit codes: 0 success; 2 partial success (some requested cells were
 undefined or skipped and are flagged in the output); 64 usage error;
-65 data error. Defaults for ``--seed`` and ``--format`` can be overridden
-with the ``FAIRAUDIT_SEED`` / ``FAIRAUDIT_FORMAT`` environment variables.
+65 data error. ``audit`` metrics come from one table, ``CRITERIA``, that
+names each metric's required inputs: a metric named in ``--metrics``
+whose inputs are missing exits 64 (``--model``, ``--condition-on``) or
+65 (decisions, scores, target), while ``--metrics all`` lists it as
+skipped with the reason and exits 2. The ``FAIRAUDIT_SEED`` and
+``FAIRAUDIT_FORMAT`` environment variables set the defaults of
+``--seed`` and ``--format``; an invalid value exits 64.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
-from . import causal, group_metrics, individual_metrics, modeling, synth_experiment
+from . import causal, group_metrics, incompatibility, individual_metrics, modeling
+from . import synth_experiment
 from .data import (
     ParseError,
     SchemaError,
@@ -24,7 +33,6 @@ from .data import (
     load_schema,
     quantile_bin,
 )
-from .incompatibility import check_sep_suff_exclusion, gaps
 from .seeding import derive_seed
 
 EXIT_OK = 0
@@ -43,106 +51,121 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# metric registry (audit subcommand)
+# criteria registry (audit subcommand)
 # ---------------------------------------------------------------------------
 
-METRICS = (
-    "demographic_parity",
-    "conditional_demographic_parity",
-    "equality_of_odds",
-    "predictive_equality",
-    "equality_of_opportunity",
-    "predictive_parity",
-    "sufficiency",
-    "accuracy_parity",
-    "balance_positive_class",
-    "balance_negative_class",
-    "auc_parity",
-    "calibration_within_groups",
-    "criteria_gaps",
-    "sep_suff_exclusion",
-    "consistency",
-    "similarity_weighted_disparity",
-    "lipschitz_audit",
-    "flip",
+
+class Criterion(NamedTuple):
+    """One audit metric: name, aliases, required inputs and how to run it.
+
+    ``needs`` holds ``(input, message)`` pairs, checked in order. The data
+    inputs are decisions, scores and target (a metric named without one
+    exits 65); the options are model and condition_on (exit 64). Under
+    ``--metrics all`` the first unmet one is reported as skipped instead.
+    ``run`` maps the audit inputs to the metric's JSON document.
+    """
+
+    name: str
+    needs: tuple
+    run: Callable
+    aliases: tuple = ()
+
+
+_OPTIONS = ("model", "condition_on")
+
+
+def _stats_row(name, aliases=()):
+    def run(a):
+        return group_metrics._stats_report(name, a.stats).to_json_dict()
+
+    return Criterion(name, group_metrics.STATS_CRITERIA[name][0], run, aliases)
+
+
+def _cdp(a):
+    ds, col = a.ds, a.args.condition_on
+    if col != ds.target_name and ds.feature(col).kind == "continuous":
+        ds = quantile_bin(ds, col, a.args.condition_bins)
+    return group_metrics.conditional_demographic_parity(
+        ds, a.preds, col, a.args.min_count
+    ).to_json_dict()
+
+
+def _flip(a):
+    rep = individual_metrics.flip_assessment(
+        a.ds, lambda d: modeling.predict(a.model, d, a.policy)
+    )
+    return {
+        "metric": "flip",
+        "flip_rate": rep.flip_rate,
+        "flip_consistency": rep.flip_consistency,
+    }
+
+
+# In report order: ``--format csv`` lists the metrics in this order.
+CRITERIA = (
+    _stats_row("demographic_parity", ("dp",)),
+    Criterion(
+        "conditional_demographic_parity",
+        (("condition_on", "conditional_demographic_parity needs --condition-on"),
+         group_metrics.DECISIONS),
+        _cdp,
+        ("cdp",),
+    ),
+    _stats_row("equality_of_odds", ("eo",)),
+    _stats_row("predictive_equality"),
+    _stats_row("equality_of_opportunity"),
+    _stats_row("predictive_parity"),
+    _stats_row("sufficiency"),
+    _stats_row("accuracy_parity"),
+    _stats_row("balance_positive_class"),
+    _stats_row("balance_negative_class"),
+    _stats_row("auc_parity"),
+    Criterion(
+        "calibration_within_groups",
+        (group_metrics.SCORES, group_metrics.TARGET),
+        lambda a: group_metrics.calibration_within_groups(
+            a.ds, a.preds, a.args.bins, a.args.min_count
+        ).to_json_dict(),
+    ),
+    Criterion(
+        "criteria_gaps",
+        incompatibility.GAPS_NEEDS,
+        lambda a: incompatibility._gaps(a.ds, a.preds, a.stats).to_json_dict(),
+    ),
+    Criterion(
+        "sep_suff_exclusion",
+        incompatibility.SEP_SUFF_NEEDS,
+        lambda a: incompatibility._sep_suff_exclusion(a.ds, a.preds, a.stats).to_json_dict(),
+    ),
+    Criterion(
+        "consistency",
+        (("decisions", "consistency needs binary decisions"),),
+        lambda a: {
+            "metric": "consistency",
+            "value": individual_metrics.consistency(a.ds, a.preds, a.args.k, a.dist),
+        },
+    ),
+    Criterion(
+        "similarity_weighted_disparity",
+        (("decisions", "similarity_weighted_disparity needs binary decisions"),),
+        lambda a: {
+            "metric": "similarity_weighted_disparity",
+            "value": individual_metrics.similarity_weighted_disparity(a.ds, a.preds, a.dist),
+        },
+    ),
+    Criterion(
+        "lipschitz_audit",
+        (),
+        lambda a: individual_metrics.lipschitz_audit(
+            a.ds, a.preds, a.dist, a.args.lipschitz_constant, a.args.max_pairs, a.args.seed
+        ).to_json_dict(),
+    ),
+    Criterion("flip", (("model", "the flip metric needs --model"),), _flip),
 )
 
-ALIASES = {
-    "dp": "demographic_parity",
-    "cdp": "conditional_demographic_parity",
-    "eo": "equality_of_odds",
-    "all": None,
-}
-
-
-def _run_metric(name, ds, preds, model, policy, args):
-    gm = group_metrics
-    dist = individual_metrics.DistanceSpec(
-        "euclidean_raw" if args.distance == "raw" else "euclidean_standardized"
-    )
-    if name == "demographic_parity":
-        return gm.demographic_parity(ds, preds).to_json_dict()
-    if name == "conditional_demographic_parity":
-        if not args.condition_on:
-            raise UsageError("conditional_demographic_parity needs --condition-on")
-        col = args.condition_on
-        if col != ds.target_name and ds.feature(col).kind == "continuous":
-            ds = quantile_bin(ds, col, args.condition_bins)
-        return gm.conditional_demographic_parity(
-            ds, preds, col, args.min_count
-        ).to_json_dict()
-    if name == "equality_of_odds":
-        return gm.equality_of_odds(ds, preds).to_json_dict()
-    if name == "predictive_equality":
-        return gm.predictive_equality(ds, preds).to_json_dict()
-    if name == "equality_of_opportunity":
-        return gm.equality_of_opportunity(ds, preds).to_json_dict()
-    if name == "predictive_parity":
-        return gm.predictive_parity(ds, preds).to_json_dict()
-    if name == "sufficiency":
-        return gm.sufficiency(ds, preds).to_json_dict()
-    if name == "accuracy_parity":
-        return gm.accuracy_parity(ds, preds).to_json_dict()
-    if name == "balance_positive_class":
-        return gm.balance_positive_class(ds, preds).to_json_dict()
-    if name == "balance_negative_class":
-        return gm.balance_negative_class(ds, preds).to_json_dict()
-    if name == "auc_parity":
-        return gm.auc_parity(ds, preds).to_json_dict()
-    if name == "calibration_within_groups":
-        return gm.calibration_within_groups(
-            ds, preds, args.bins, args.min_count
-        ).to_json_dict()
-    if name == "criteria_gaps":
-        return gaps(ds, preds).to_json_dict()
-    if name == "sep_suff_exclusion":
-        return check_sep_suff_exclusion(ds, preds).to_json_dict()
-    if name == "consistency":
-        return {
-            "metric": "consistency",
-            "value": individual_metrics.consistency(ds, preds, args.k, dist),
-        }
-    if name == "similarity_weighted_disparity":
-        return {
-            "metric": "similarity_weighted_disparity",
-            "value": individual_metrics.similarity_weighted_disparity(ds, preds, dist),
-        }
-    if name == "lipschitz_audit":
-        return individual_metrics.lipschitz_audit(
-            ds, preds, dist, args.lipschitz_constant, args.max_pairs, args.seed
-        ).to_json_dict()
-    if name == "flip":
-        if model is None:
-            raise UsageError("the flip metric needs --model")
-        rep = individual_metrics.flip_assessment(
-            ds, lambda d: modeling.predict(model, d, policy)
-        )
-        return {
-            "metric": "flip",
-            "flip_rate": rep.flip_rate,
-            "flip_consistency": rep.flip_consistency,
-        }
-    raise UsageError(f"unknown metric {name!r}")
+METRICS = tuple(c.name for c in CRITERIA)
+ALIASES = {alias: c.name for c in CRITERIA for alias in c.aliases}
+_BY_NAME = {c.name: c for c in CRITERIA}
 
 
 def _has_skips(doc):
@@ -201,36 +224,46 @@ def cmd_audit(args):
             preds = modeling.predict(model, ds, policy)
     requested = []
     for raw in args.metrics.split(","):
-        name = raw.strip()
-        name = ALIASES.get(name, name)
-        if raw.strip() == "all":
-            requested.extend(
-                (m, True) for m in METRICS if m != "flip" or model is not None
-            )
-        elif name in METRICS:
-            requested.append((name, False))
+        name = ALIASES.get(raw.strip(), raw.strip())
+        if name == "all":
+            requested.extend((c, True) for c in CRITERIA)
+        elif name in _BY_NAME:
+            requested.append((_BY_NAME[name], False))
         else:
             raise UsageError(f"unknown metric {raw.strip()!r}")
     if preds is None:
         raise UsageError("no predictions: pass --predictions and/or --model")
+    have = {
+        "decisions": preds.decisions is not None,
+        "scores": preds.scores is not None,
+        "target": ds.target is not None,
+        "model": model is not None,
+        "condition_on": bool(args.condition_on),
+    }
+    inputs = SimpleNamespace(
+        ds=ds, preds=preds, model=model, policy=policy, args=args,
+        stats=group_metrics.compute_group_stats(ds, preds),
+        dist=individual_metrics.DistanceSpec(
+            "euclidean_raw" if args.distance == "raw" else "euclidean_standardized"
+        ),
+    )
     out = {}
-    unmet = []
-    for name, from_all in requested:
+    for c, from_all in requested:
         try:
-            out[name] = _run_metric(name, ds, preds, model, policy, args)
-        except ValueError as exc:
-            # 'all' runs whatever the inputs support; an explicitly named
-            # metric with unmet preconditions stays a hard error
+            for what, message in c.needs:
+                if not have[what]:
+                    raise (UsageError if what in _OPTIONS else ValueError)(message)
+            out[c.name] = c.run(inputs)
+        except (UsageError, ValueError) as exc:
+            # 'all' runs whatever the inputs support and lists the rest as
+            # skipped; a metric named explicitly fails on unmet inputs
             if not from_all:
                 raise
-            unmet.append(name)
-            out[name] = {"metric": name, "skipped": [str(exc)]}
+            out[c.name] = {"metric": c.name, "skipped": [str(exc)]}
     _emit({"metrics": out, "n": ds.n}, args)
-    if unmet:
+    if _has_skips(out) or all(_all_undefined(doc) for doc in out.values()):
         return EXIT_PARTIAL
-    if all(_all_undefined(doc) for doc in out.values()):
-        return EXIT_PARTIAL
-    return EXIT_PARTIAL if _has_skips(out) else EXIT_OK
+    return EXIT_OK
 
 
 def _all_undefined(doc):
@@ -298,12 +331,7 @@ def cmd_train(args):
         )
     hyper = modeling.TrainConfig(args.max_epochs)
     model = modeling.train(ds, spec, hyper, args.seed)
-    policy = None
-    if spec.strategy == modeling.DP_POST:
-        policy = modeling.fit_dp_threshold(ds, model)
-    elif spec.strategy == modeling.CDP_POST:
-        policy = modeling.fit_cdp_threshold(ds, model, spec.conditioning)
-    modeling.save_model(model, args.model_out, policy)
+    modeling.save_model(model, args.model_out, modeling.fit_policy(ds, model))
     if model.suppression is not None:
         dropped = ", ".join(f"{n} (|corr|={c:.3f})" for n, c in model.suppression.dropped)
         print(f"suppression dropped: {dropped or 'nothing'}", file=sys.stderr)
@@ -373,14 +401,7 @@ def cmd_experiment(args):
         adult = load_csv(args.adult, schema)
         interp = _resolve_noise(args.noise, args.seed)
         datasets = [("adult", adult, args.adult_condition)]
-        for label, target in (("synthetic#1", "high"), ("synthetic#2", "low")):
-            cfg = synth_experiment.SynthConfig(
-                n=args.n,
-                target=target,
-                noise_scale_interpretation=interp,
-                seed=derive_seed(args.seed, f"generate:{target}"),
-            )
-            datasets.append((label, synth_experiment.generate(cfg), "X3"))
+        datasets += synth_experiment.synthetic_datasets(args.seed, args.n, interp)
     report = synth_experiment.run_experiment(
         datasets=datasets,
         seed=args.seed,
@@ -409,17 +430,21 @@ def _non_negative_int(text):
     return value
 
 
+FORMATS = ("json", "csv")
+
+
 def build_parser():
+    # --seed and --format default to None; main fills them from the
+    # environment on every call, since the parser is built once per process
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--seed", type=int, default=int(os.environ.get("FAIRAUDIT_SEED", "0")),
-        help="root seed; per-task seeds are derived by hashing task labels with it",
+        "--seed", type=int, default=None,
+        help="root seed (default $FAIRAUDIT_SEED or 0); per-task seeds are "
+        "derived by hashing task labels with it",
     )
     common.add_argument("--output", default=None, help="write the report here instead of stdout")
     common.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default=os.environ.get("FAIRAUDIT_FORMAT", "json"),
+        "--format", choices=FORMATS, default=None, help="default $FAIRAUDIT_FORMAT or json"
     )
     parser = _Parser(prog="fairaudit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -436,8 +461,9 @@ def build_parser():
     p.add_argument(
         "--metrics",
         required=True,
-        help="comma list or 'all'; available: " + ", ".join(METRICS)
-        + "; aliases: dp, cdp, eo",
+        help="comma list or 'all' (which lists a metric whose inputs are missing as "
+        "skipped); available: "
+        + ", ".join(c.name + "".join(f" ({a})" for a in c.aliases) for c in CRITERIA),
     )
     p.add_argument("--condition-on", default=None, help="stratum column for cdp")
     p.add_argument("--k", type=int, default=5, help="neighbours for consistency")
@@ -494,10 +520,26 @@ def build_parser():
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
+def _env_defaults(args):
+    if args.seed is None:
+        raw = os.environ.get("FAIRAUDIT_SEED", "0")
+        try:
+            args.seed = int(raw)
+        except ValueError:
+            raise UsageError(f"FAIRAUDIT_SEED={raw!r} is not an integer") from None
+    if args.format is None:
+        args.format = os.environ.get("FAIRAUDIT_FORMAT", "json")
+        if args.format not in FORMATS:
+            raise UsageError(f"FAIRAUDIT_FORMAT={args.format!r} is not one of json, csv")
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
+        _env_defaults(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

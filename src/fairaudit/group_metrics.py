@@ -61,36 +61,56 @@ def _auc_scores(y, s):
 
 
 def compute_group_stats(ds, preds):
-    """GroupStats for every group, in group-code order."""
-    out = []
+    """GroupStats for every group, in group-code order, all groups at once.
+
+    Rates are quotients of per-group integer counts (``np.bincount``),
+    equal bit for bit to the means of the 0/1 values they count. Score
+    means and AUCs are taken over each group's rows in row order, as a
+    per-group mask would select them, so they keep their bits too.
+    """
+    labels = ds.sensitive.group_labels
+    codes, n_g = ds.sensitive.values, len(labels)
     y = ds.target
     dec = preds.decisions if preds is not None else None
     sc = preds.scores if preds is not None else None
-    for g, label in enumerate(ds.sensitive.group_labels):
-        m = ds.sensitive.mask(g)
-        stats = {"label": label, "count": int(m.sum())}
+    count = np.bincount(codes, minlength=n_g)
+    stats = [{"label": lab, "count": int(c)} for lab, c in zip(labels, count)]
+
+    def hits(rows):
+        return np.bincount(codes[rows], minlength=n_g)
+
+    def rate(attr, num, den):
+        for s, a, b in zip(stats, num.tolist(), den.tolist()):
+            s[attr] = a / b if b else None
+
+    if y is not None:
+        rate("base_rate", hits(y == 1), count)
+    if dec is not None:
+        rate("acceptance", hits(dec == 1), count)
         if y is not None:
-            stats["base_rate"] = _mean(y[m])
-        if dec is not None:
-            stats["acceptance"] = _mean(dec[m])
-            if y is not None:
-                ym, dm = y[m], dec[m]
-                pos, neg = ym == 1, ym == 0
-                stats["tpr"] = _mean(dm[pos])
-                stats["fnr"] = None if stats["tpr"] is None else 1.0 - stats["tpr"]
-                stats["fpr"] = _mean(dm[neg])
-                stats["tnr"] = None if stats["fpr"] is None else 1.0 - stats["fpr"]
-                stats["ppv"] = _mean(ym[dm == 1])
-                nm = ym[dm == 0]
-                stats["npv"] = None if len(nm) == 0 else float(np.mean(1 - nm))
-                stats["accuracy"] = _mean((dm == ym).astype(float))
-        if sc is not None and y is not None:
-            ym, sm = y[m], sc[m]
-            stats["mean_score_pos"] = _mean(sm[ym == 1])
-            stats["mean_score_neg"] = _mean(sm[ym == 0])
-            stats["auc"] = _auc_scores(ym, sm)
-        out.append(GroupStats(**stats))
-    return out
+            tp, fn = hits((y == 1) & (dec == 1)), hits((y == 1) & (dec == 0))
+            fp, tn = hits((y == 0) & (dec == 1)), hits((y == 0) & (dec == 0))
+            rate("tpr", tp, tp + fn)
+            rate("fpr", fp, fp + tn)
+            rate("ppv", tp, tp + fp)
+            rate("npv", tn, tn + fn)
+            rate("accuracy", tp + tn, count)
+            for s in stats:
+                s["fnr"] = None if s["tpr"] is None else 1.0 - s["tpr"]
+                s["tnr"] = None if s["fpr"] is None else 1.0 - s["fpr"]
+    if sc is not None and y is not None:
+        # row indices of each (group, class) cell, row order kept inside it
+        key = codes * 2 + y
+        cells = np.split(
+            np.argsort(key, kind="stable"),
+            np.cumsum(np.bincount(key, minlength=2 * n_g))[:-1],
+        )
+        for s, neg, pos in zip(stats, cells[0::2], cells[1::2]):
+            rows = np.concatenate([neg, pos])
+            s["mean_score_pos"] = _mean(sc[pos])
+            s["mean_score_neg"] = _mean(sc[neg])
+            s["auc"] = _auc_scores(y[rows], sc[rows])
+    return [GroupStats(**s) for s in stats]
 
 
 @dataclass(frozen=True)
@@ -117,6 +137,12 @@ class MetricReport:
         return doc
 
 
+def _gap(values):
+    """Max pairwise absolute difference of the defined values (0.0 if none)."""
+    defined = [v for v in values if v is not None]
+    return float(max(defined) - min(defined)) if defined else 0.0
+
+
 def make_report(metric, labels, values, reasons=None):
     """Assemble a MetricReport from per-group values (None = undefined)."""
     reasons = reasons or {}
@@ -125,13 +151,11 @@ def make_report(metric, labels, values, reasons=None):
         lab: reasons.get(lab, "undefined") for lab, v in groups.items() if v is None
     }
     defined = [v for v in values if v is not None]
-    if not defined:
-        gap, ratio = 0.0, None
-    else:
-        hi, lo = max(defined), min(defined)
-        gap = hi - lo
-        ratio = 1.0 if hi == 0 else lo / hi
-    return MetricReport(metric, groups, float(gap), ratio, undefined)
+    ratio = None
+    if defined:
+        hi = max(defined)
+        ratio = 1.0 if hi == 0 else min(defined) / hi
+    return MetricReport(metric, groups, _gap(values), ratio, undefined)
 
 
 def _compound(metric, parts):
@@ -143,54 +167,75 @@ def _compound(metric, parts):
     return MetricReport(metric, {}, float(gap), None, undefined, dict(parts))
 
 
-def _require(preds, what, ds=None):
-    if what == "decisions" and (preds is None or preds.decisions is None):
-        raise ValueError("this criterion needs binary decisions")
-    if what == "scores" and (preds is None or preds.scores is None):
-        raise ValueError("this criterion needs scores")
-    if ds is not None and preds is not None and preds.n != ds.n:
-        raise ValueError(f"predictions cover {preds.n} rows, dataset has {ds.n}")
+# A required input and the message raised when it is missing.
+DECISIONS = ("decisions", "this criterion needs binary decisions")
+SCORES = ("scores", "this criterion needs scores")
+TARGET = ("target", "this criterion needs the ground-truth target")
 
 
-def _require_target(ds):
-    if ds.target is None:
-        raise ValueError("this criterion needs the ground-truth target")
+def _require(ds, preds, needs):
+    """Raise ValueError for the first missing input of ``needs``."""
+    for what, message in needs:
+        if what == "target":
+            if ds.target is None:
+                raise ValueError(message)
+        elif preds is None or getattr(preds, what) is None:
+            raise ValueError(message)
+        elif ds is not None and preds.n != ds.n:
+            raise ValueError(f"predictions cover {preds.n} rows, dataset has {ds.n}")
 
 
-def _per_group(ds, stats, attr, empty_reason):
+# The criteria read off GroupStats: name -> (required inputs, parts). A part
+# is (report metric, GroupStats field, why a group's value is undefined); a
+# criterion with several parts reports them as components keyed by field.
+_DY, _SY = (DECISIONS, TARGET), (SCORES, TARGET)
+STATS_CRITERIA = {
+    "demographic_parity": ((DECISIONS,), (("demographic_parity", "acceptance", "empty group"),)),
+    "equality_of_odds": (_DY, (("predictive_equality", "fpr", "no negative cases"),
+                               ("equality_of_opportunity", "fnr", "no positive cases"))),
+    "predictive_equality": (_DY, (("predictive_equality", "fpr", "no negative cases"),)),
+    "equality_of_opportunity": (_DY, (("equality_of_opportunity", "fnr", "no positive cases"),)),
+    "predictive_parity": (_DY, (("predictive_parity", "ppv", "no accepted rows"),)),
+    "sufficiency": (_DY, (("ppv_parity", "ppv", "no accepted rows"),
+                          ("npv_parity", "npv", "no rejected rows"))),
+    "accuracy_parity": (_DY, (("accuracy_parity", "accuracy", "empty group"),)),
+    "balance_positive_class":
+        (_SY, (("balance_positive_class", "mean_score_pos", "no positive cases"),)),
+    "balance_negative_class":
+        (_SY, (("balance_negative_class", "mean_score_neg", "no negative cases"),)),
+    "auc_parity": (_SY, (("auc_parity", "auc", "one class missing"),)),
+}
+
+
+def _stats_report(name, stats):
+    """The report of one ``STATS_CRITERIA`` row, read off computed GroupStats."""
     labels = [s.label for s in stats]
-    values = [getattr(s, attr) for s in stats]
-    reasons = {s.label: empty_reason for s, v in zip(stats, values) if v is None}
-    return labels, values, reasons
+    parts = {}
+    for metric, attr, reason in STATS_CRITERIA[name][1]:
+        values = [getattr(s, attr) for s in stats]
+        reasons = {lab: reason for lab, v in zip(labels, values) if v is None}
+        parts[attr] = make_report(metric, labels, values, reasons)
+    return parts.popitem()[1] if len(parts) == 1 else _compound(name, parts)
+
+
+def _criterion(name, ds, preds):
+    _require(ds, preds, STATS_CRITERIA[name][0])
+    return _stats_report(name, compute_group_stats(ds, preds))
 
 
 def demographic_parity(ds, preds):
     """Acceptance-rate parity: decisions independent of the group."""
-    _require(preds, "decisions", ds)
-    stats = compute_group_stats(ds, preds)
-    return make_report(
-        "demographic_parity", *_per_group(ds, stats, "acceptance", "empty group")
-    )
+    return _criterion("demographic_parity", ds, preds)
 
 
 def predictive_equality(ds, preds):
     """False-positive-rate parity across groups."""
-    _require(preds, "decisions", ds)
-    _require_target(ds)
-    stats = compute_group_stats(ds, preds)
-    return make_report(
-        "predictive_equality", *_per_group(ds, stats, "fpr", "no negative cases")
-    )
+    return _criterion("predictive_equality", ds, preds)
 
 
 def equality_of_opportunity(ds, preds):
     """False-negative-rate parity across groups."""
-    _require(preds, "decisions", ds)
-    _require_target(ds)
-    stats = compute_group_stats(ds, preds)
-    return make_report(
-        "equality_of_opportunity", *_per_group(ds, stats, "fnr", "no positive cases")
-    )
+    return _criterion("equality_of_opportunity", ds, preds)
 
 
 def equality_of_odds(ds, preds):
@@ -198,70 +243,36 @@ def equality_of_odds(ds, preds):
 
     The headline gap is the larger of the per-rate gaps over group pairs.
     """
-    fpr = predictive_equality(ds, preds)
-    fnr = equality_of_opportunity(ds, preds)
-    return _compound("equality_of_odds", {"fpr": fpr, "fnr": fnr})
+    return _criterion("equality_of_odds", ds, preds)
 
 
 def predictive_parity(ds, preds):
     """Precision parity among accepted rows."""
-    _require(preds, "decisions", ds)
-    _require_target(ds)
-    stats = compute_group_stats(ds, preds)
-    return make_report(
-        "predictive_parity", *_per_group(ds, stats, "ppv", "no accepted rows")
-    )
+    return _criterion("predictive_parity", ds, preds)
 
 
 def sufficiency(ds, preds):
     """Precision and NPV parity jointly; gap is the worse of the two."""
-    _require(preds, "decisions", ds)
-    _require_target(ds)
-    stats = compute_group_stats(ds, preds)
-    ppv = make_report("ppv_parity", *_per_group(ds, stats, "ppv", "no accepted rows"))
-    npv = make_report("npv_parity", *_per_group(ds, stats, "npv", "no rejected rows"))
-    return _compound("sufficiency", {"ppv": ppv, "npv": npv})
+    return _criterion("sufficiency", ds, preds)
 
 
 def accuracy_parity(ds, preds):
-    _require(preds, "decisions", ds)
-    _require_target(ds)
-    stats = compute_group_stats(ds, preds)
-    return make_report(
-        "accuracy_parity", *_per_group(ds, stats, "accuracy", "empty group")
-    )
+    return _criterion("accuracy_parity", ds, preds)
 
 
 def balance_positive_class(ds, preds):
     """Mean-score parity among truly positive rows."""
-    _require(preds, "scores", ds)
-    _require_target(ds)
-    stats = compute_group_stats(ds, preds)
-    return make_report(
-        "balance_positive_class",
-        *_per_group(ds, stats, "mean_score_pos", "no positive cases"),
-    )
+    return _criterion("balance_positive_class", ds, preds)
 
 
 def balance_negative_class(ds, preds):
     """Mean-score parity among truly negative rows."""
-    _require(preds, "scores", ds)
-    _require_target(ds)
-    stats = compute_group_stats(ds, preds)
-    return make_report(
-        "balance_negative_class",
-        *_per_group(ds, stats, "mean_score_neg", "no negative cases"),
-    )
+    return _criterion("balance_negative_class", ds, preds)
 
 
 def auc_parity(ds, preds):
     """Per-group ranking quality parity (AUC with ties counted 1/2)."""
-    _require(preds, "scores", ds)
-    _require_target(ds)
-    stats = compute_group_stats(ds, preds)
-    return make_report(
-        "auc_parity", *_per_group(ds, stats, "auc", "one class missing")
-    )
+    return _criterion("auc_parity", ds, preds)
 
 
 @dataclass(frozen=True)
@@ -295,7 +306,7 @@ def conditional_demographic_parity(ds, preds, conditioning, min_count=30):
     first with :func:`fairaudit.data.quantile_bin`); conditioning on the
     target column name reproduces the separation rates stratum by stratum.
     """
-    _require(preds, "decisions", ds)
+    _require(ds, preds, (DECISIONS,))
     codes, labels = ds.column_codes(conditioning)
     dec = preds.decisions
     strata, skipped, weights = {}, [], {}
@@ -371,8 +382,7 @@ class CalibrationReport:
 
 def calibration_within_groups(ds, preds, bins=10, min_count=30):
     """Score calibration checked separately inside every group."""
-    _require(preds, "scores", ds)
-    _require_target(ds)
+    _require(ds, preds, (SCORES, TARGET))
     if bins < 1:
         raise ValueError("bins must be >= 1")
     edges = np.linspace(0.0, 1.0, bins + 1)
@@ -472,7 +482,7 @@ class ThresholdPolicy:
 
 def apply_threshold(preds, policy, groups, strata=None):
     """Threshold scores cell by cell: accept iff score >= cell threshold."""
-    _require(preds, "scores")
+    _require(None, preds, (SCORES,))
     if isinstance(groups, SensitiveAttribute):
         groups = groups.values
     groups = np.asarray(groups, dtype=int)

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group_metrics import compute_group_stats
+from .group_metrics import _gap, _require, compute_group_stats
 from .info_theory import JointTable, symmetric_uncertainty
 
-
-def _pairwise_gap(values):
-    vals = [v for v in values if v is not None]
-    return (max(vals) - min(vals)) if vals else 0.0
+# the inputs each check needs, with the message raised when one is missing
+GAPS_NEEDS = (("target", "criteria gaps need the ground-truth target"),)
+SEP_SUFF_NEEDS = (("decisions", "this check needs binary decisions"),) + GAPS_NEEDS
 
 
 @dataclass(frozen=True)
@@ -55,36 +54,32 @@ class CriteriaGaps:
 
 def gaps(ds, preds, score_bins=10):
     """Criteria gaps of one prediction set against one dataset."""
-    if ds.target is None:
-        raise ValueError("criteria gaps need the ground-truth target")
-    if preds.decisions is None and preds.scores is None:
-        raise ValueError("criteria gaps need decisions or scores")
-    stats = compute_group_stats(ds, preds)
+    _require(ds, preds, GAPS_NEEDS)
+    return _gaps(ds, preds, compute_group_stats(ds, preds), score_bins)
+
+
+def _gaps(ds, preds, stats, score_bins=10):
     flags = []
     for s in stats:
         for attr in ("fpr", "fnr", "ppv", "npv"):
             if getattr(s, attr) is None:
                 flags.append(f"{attr} undefined for group {s.label}")
     if preds.decisions is not None:
-        indep = _pairwise_gap([s.acceptance for s in stats])
+        indep = _gap([s.acceptance for s in stats])
         used = preds.decisions
     else:
         # score-based fallback: bin scores for the usefulness measure,
         # use mean score per group for the independence gap
         sc = preds.scores
-        indep = _pairwise_gap(
+        indep = _gap(
             [float(sc[ds.sensitive.mask(g)].mean()) if ds.sensitive.mask(g).any() else None
              for g in range(ds.sensitive.n_groups)]
         )
         used = np.clip((sc * score_bins).astype(int), 0, score_bins - 1)
         flags.append("usefulness computed on binned scores")
-    sep = max(
-        _pairwise_gap([s.fpr for s in stats]), _pairwise_gap([s.fnr for s in stats])
-    )
-    suff = max(
-        _pairwise_gap([s.ppv for s in stats]), _pairwise_gap([s.npv for s in stats])
-    )
-    base = _pairwise_gap([s.base_rate for s in stats])
+    sep = max(_gap([s.fpr for s in stats]), _gap([s.fnr for s in stats]))
+    suff = max(_gap([s.ppv for s in stats]), _gap([s.npv for s in stats]))
+    base = _gap([s.base_rate for s in stats])
     useful = symmetric_uncertainty(JointTable.from_codes(ds.target, used))
     return CriteriaGaps(indep, sep, suff, base, useful, tuple(flags))
 
@@ -103,7 +98,7 @@ def separation_implies_dp_gap(tpr, fpr, base_rates):
     rates = list(base_rates)
     if any(not 0.0 <= p <= 1.0 for p in rates):
         raise ValueError("base rates must lie in [0, 1]")
-    return abs(tpr - fpr) * _pairwise_gap(rates)
+    return abs(tpr - fpr) * _gap(rates)
 
 
 def sufficiency_implies_dp_gap(ppv, npv, base_rates):
@@ -121,7 +116,7 @@ def sufficiency_implies_dp_gap(ppv, npv, base_rates):
     if any(not 0.0 <= p <= 1.0 for p in rates):
         raise ValueError("base rates must lie in [0, 1]")
     denom = ppv + npv - 1.0
-    gap = _pairwise_gap(rates)
+    gap = _gap(rates)
     if denom == 0.0:
         warnings.warn(
             "ppv + npv = 1: uninformative classifier, implied gap diverges",
@@ -160,9 +155,12 @@ class SepSuffVerdict:
 
 def check_sep_suff_exclusion(ds, preds, tol=1e-9):
     """Check one dataset against the separation/sufficiency exclusion."""
-    if preds.decisions is None:
-        raise ValueError("this check needs binary decisions")
-    g = gaps(ds, preds)
+    _require(ds, preds, SEP_SUFF_NEEDS)
+    return _sep_suff_exclusion(ds, preds, compute_group_stats(ds, preds), tol)
+
+
+def _sep_suff_exclusion(ds, preds, stats, tol=1e-9):
+    g = _gaps(ds, preds, stats)
     fp = int(((preds.decisions == 1) & (ds.target == 0)).sum())
     sep_holds = g.sep_gap < tol
     suff_holds = g.suff_gap < tol

@@ -437,6 +437,18 @@ def fit_cdp_threshold(ds, model, conditioning, grid_size=100, min_count=30):
     )
 
 
+def fit_policy(ds, model):
+    """The threshold policy of a post-processing model, fitted on ``ds``.
+
+    None for the strategies that threshold scores at one half.
+    """
+    if model.spec.strategy == DP_POST:
+        return fit_dp_threshold(ds, model)
+    if model.spec.strategy == CDP_POST:
+        return fit_cdp_threshold(ds, model, model.spec.conditioning)
+    return None
+
+
 def save_model(model, path, policy=None):
     """Serialise a model (and optional threshold policy) to JSON."""
     doc = {

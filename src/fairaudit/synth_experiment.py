@@ -24,12 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import causal
 from .causal import Assignment, Dag, NoiseSpec, Scm
 from .data import split
-from .group_metrics import demographic_parity
+from .group_metrics import _auc_scores, demographic_parity
 from .individual_metrics import flip_assessment
 from .info_theory import symmetric_uncertainty_codes
 from .modeling import (
@@ -38,8 +36,7 @@ from .modeling import (
     FTU,
     SUPPRESSION,
     MitigationSpec,
-    fit_cdp_threshold,
-    fit_dp_threshold,
+    fit_policy,
     predict,
     train,
 )
@@ -278,34 +275,19 @@ def approach_spec(approach, conditioning=None, synthetic=True):
     raise ValueError(f"unknown approach {approach!r}")
 
 
-def _auc_pooled(y, s):
-    from scipy.stats import rankdata
-
-    npos = int(np.sum(y))
-    nneg = len(y) - npos
-    if npos == 0 or nneg == 0:
-        return float("nan")
-    r = rankdata(s)
-    return float((r[np.asarray(y) == 1].sum() - npos * (npos + 1) / 2) / (npos * nneg))
-
-
 def evaluate_approach(name, train_ds, test_ds, conditioning, seed, synthetic=True):
     """Train one approach and measure the four table metrics on the test part."""
     spec = approach_spec(name, conditioning, synthetic)
     model = train(train_ds, spec, seed=derive_seed(seed, f"train:{name}"))
-    policy = None
-    if spec.strategy == DP_POST:
-        policy = fit_dp_threshold(train_ds, model)
-    elif spec.strategy == CDP_POST:
-        policy = fit_cdp_threshold(train_ds, model, conditioning)
+    policy = fit_policy(train_ds, model)
     preds = predict(model, test_ds, policy)
     a_codes = test_ds.sensitive.values
     u = 100.0 * symmetric_uncertainty_codes(preds.decisions, a_codes)
-    if policy is None:
-        auc, basis = _auc_pooled(test_ds.target, preds.scores), "scores"
-    else:
-        # post-processing emits decisions, not scores: rank on the final output
-        auc, basis = _auc_pooled(test_ds.target, preds.decisions), "decisions"
+    # post-processing emits decisions, not scores: rank on the final output
+    basis = "scores" if policy is None else "decisions"
+    auc = _auc_scores(test_ds.target, getattr(preds, basis))
+    if auc is None:
+        raise ValueError(f"{name}: the test split holds one class, so ROC AUC is undefined")
     flip = flip_assessment(test_ds, lambda d: predict(model, d, policy))
     dp = demographic_parity(test_ds, preds)
     ratio = 0.0 if dp.ratio is None else dp.ratio
@@ -317,6 +299,15 @@ def evaluate_approach(name, train_ds, test_ds, conditioning, seed, synthetic=Tru
         dp_ratio=100.0 * ratio,
         auc_basis=basis,
     )
+
+
+def synthetic_datasets(seed, n, noise_interpretation):
+    """The two built-in synthetic datasets, as ``(name, Dataset, "X3")`` triples."""
+    out = []
+    for label, target in (("synthetic#1", "high"), ("synthetic#2", "low")):
+        cfg = SynthConfig(n, target, noise_interpretation, derive_seed(seed, f"generate:{target}"))
+        out.append((label, generate(cfg), "X3"))
+    return out
 
 
 def run_experiment(
@@ -348,15 +339,7 @@ def run_experiment(
             noise_interpretation = calibration.chosen
         else:
             notes.append(f"noise interpretation forced to {noise_interpretation!r}")
-        datasets = []
-        for label, target in (("synthetic#1", "high"), ("synthetic#2", "low")):
-            cfg = SynthConfig(
-                n=n,
-                target=target,
-                noise_scale_interpretation=noise_interpretation,
-                seed=derive_seed(seed, f"generate:{target}"),
-            )
-            datasets.append((label, generate(cfg), "X3"))
+        datasets = synthetic_datasets(seed, n, noise_interpretation)
     elif noise_interpretation is None:
         noise_interpretation = DEFAULT_NOISE_INTERPRETATION
     blocks = []

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from fairaudit import group_metrics, incompatibility
 from fairaudit.causal import save_scm
 from fairaudit.cli import (
     ALIASES,
@@ -191,6 +193,86 @@ class TestAudit:
             assert name in help_text
         for alias in ("dp", "cdp", "eo"):
             assert alias in ALIASES
+
+    def test_help_shows_aliases_beside_names(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["audit", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for alias, name in ALIASES.items():
+            assert f"{name} ({alias})" in help_text
+
+
+class TestAllRule:
+    """Under 'all' a metric with an unmet input is skipped with the reason
+    and the run exits 2; a metric named explicitly keeps exit 64 for a
+    missing option and 65 for missing data."""
+
+    def audit(self, toy_csv, tmp_path, metrics, predictions, *extra):
+        data, schema = toy_csv
+        out = tmp_path / "report.json"
+        code = main(
+            [
+                "audit",
+                "--data", str(data),
+                "--schema", str(schema),
+                "--predictions", predictions,
+                "--metrics", metrics,
+                "--min-count", "2",
+                "--k", "3",
+                "--output", str(out),
+                *extra,
+            ]
+        )
+        return code, (json.loads(out.read_text())["metrics"] if out.exists() else None)
+
+    def test_all_without_condition_on_skips_cdp(self, toy_csv, tmp_path):
+        code, doc = self.audit(toy_csv, tmp_path, "all", "yhat=pred,score=score")
+        assert code == EXIT_PARTIAL
+        assert doc["conditional_demographic_parity"] == {
+            "metric": "conditional_demographic_parity",
+            "skipped": ["conditional_demographic_parity needs --condition-on"],
+        }
+        assert doc["demographic_parity"]["skipped"] == []
+
+    def test_all_without_model_skips_flip(self, toy_csv, tmp_path):
+        code, doc = self.audit(
+            toy_csv, tmp_path, "all", "yhat=pred,score=score", "--condition-on", "x"
+        )
+        assert code == EXIT_PARTIAL
+        assert set(doc) == set(METRICS)
+        assert doc["flip"] == {"metric": "flip", "skipped": ["the flip metric needs --model"]}
+
+    def test_all_without_scores_skips_score_metrics(self, toy_csv, tmp_path):
+        code, doc = self.audit(toy_csv, tmp_path, "all", "yhat=pred", "--condition-on", "x")
+        assert code == EXIT_PARTIAL
+        for name in (
+            "balance_positive_class", "balance_negative_class", "auc_parity",
+            "calibration_within_groups",
+        ):
+            assert doc[name] == {"metric": name, "skipped": ["this criterion needs scores"]}
+
+    def test_all_without_decisions_skips_decision_metrics(self, toy_csv, tmp_path):
+        code, doc = self.audit(toy_csv, tmp_path, "all", "score=score", "--condition-on", "x")
+        assert code == EXIT_PARTIAL
+        assert doc["demographic_parity"]["skipped"] == ["this criterion needs binary decisions"]
+        assert doc["sep_suff_exclusion"]["skipped"] == ["this check needs binary decisions"]
+        assert doc["consistency"]["skipped"] == ["consistency needs binary decisions"]
+        assert doc["auc_parity"]["skipped"] == []
+
+    @pytest.mark.parametrize(
+        "metric, predictions, code, message",
+        [
+            ("cdp", "yhat=pred", EXIT_USAGE, "needs --condition-on"),
+            ("flip", "yhat=pred", EXIT_USAGE, "needs --model"),
+            ("auc_parity", "yhat=pred", EXIT_DATA, "this criterion needs scores"),
+            ("eo", "score=score", EXIT_DATA, "this criterion needs binary decisions"),
+        ],
+    )
+    def test_named_metric_keeps_exit_codes(
+        self, toy_csv, tmp_path, capsys, metric, predictions, code, message
+    ):
+        assert self.audit(toy_csv, tmp_path, metric, predictions) == (code, None)
+        assert message in capsys.readouterr().err
 
 
 class TestSynth:
@@ -603,3 +685,103 @@ class TestGlobalOptions:
         monkeypatch.delenv("FAIRAUDIT_SEED")
         main(["synth", "--n", "50", "--seed", "123", "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_env_defaults_read_on_every_call(self, toy_csv, monkeypatch, capsys):
+        data, schema = toy_csv
+        argv = ["audit", "--data", str(data), "--schema", str(schema),
+                "--predictions", "yhat=pred", "--metrics", "dp"]
+        monkeypatch.setenv("FAIRAUDIT_FORMAT", "csv")
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("key,value\n")
+        monkeypatch.delenv("FAIRAUDIT_FORMAT")
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["n"] == 60
+
+    def test_invalid_seed_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "s.csv"
+        monkeypatch.setenv("FAIRAUDIT_SEED", "abc")
+        assert main(["synth", "--n", "5", "--output", str(out)]) == EXIT_USAGE
+        assert "usage error: FAIRAUDIT_SEED='abc'" in capsys.readouterr().err
+        assert not out.exists()
+        # an explicit --seed does not read the variable
+        assert main(["synth", "--n", "5", "--seed", "1", "--output", str(out)]) == EXIT_OK
+
+    def test_invalid_format_env_is_usage_error(self, toy_csv, monkeypatch, capsys):
+        data, schema = toy_csv
+        monkeypatch.setenv("FAIRAUDIT_FORMAT", "xml")
+        code = main(["audit", "--data", str(data), "--schema", str(schema),
+                     "--predictions", "yhat=pred", "--metrics", "dp"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: FAIRAUDIT_FORMAT='xml'" in captured.err
+
+
+AUDIT_SCHEMA = "sensitive = A\ntarget = Y\ncategorical = X3\n"
+# sha256 of the files below, measured before the audit criteria moved into
+# one table; the table must reproduce them byte for byte
+PINNED_AUDIT = {
+    "data": "bbcd8825ae15c175da03684a31e87a21263c1ee5f636e282cc99994a51f9695b",
+    "json": "8c11a7803ca950173e8fdd9832bc305c5693d33bbab4f39aecacc125e26d8910",
+    "csv": "10eb8508cd8e2e94774ea497a4b7f47b5fdc8e1a5e815a82cc1a9834ca0df9ab",
+    "decisions_only": "ed04773f199ff6ae867e17ef1dcbc90689aff2d18dece7a19bf4df83e398007e",
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedAuditReports:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pinned")
+        data, schema, model = root / "data.csv", root / "synth.schema", root / "model.json"
+        schema.write_text(AUDIT_SCHEMA, encoding="utf-8")
+        assert main(["synth", "--target", "high", "--n", "2000", "--seed", "0",
+                     "--output", str(data)]) == EXIT_OK
+        assert main(["train", "--data", str(data), "--schema", str(schema),
+                     "--strategy", "dp", "--seed", "0", "--model-out", str(model)]) == EXIT_OK
+        # a decisions column derived from X1, for an audit without scores
+        lines = data.read_text(encoding="utf-8").splitlines()
+        rows = [lines[0] + ",pred"] + [
+            f"{line},{int(float(line.split(',')[1]) > 0.3)}" for line in lines[1:]
+        ]
+        decisions = root / "decisions.csv"
+        decisions.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        return root, data, schema, model, decisions
+
+    def audit(self, files, data, out, *extra):
+        root, _, schema, model, _ = files
+        return main(["audit", "--data", str(data), "--schema", str(schema),
+                     "--model", str(model), "--metrics", "all", "--condition-on", "X1",
+                     "--output", str(root / out), *extra])
+
+    def test_synthetic_data(self, files):
+        assert sha256(files[1]) == PINNED_AUDIT["data"]
+
+    def test_all_metrics_json(self, files):
+        assert self.audit(files, files[1], "r.json") == EXIT_OK
+        assert sha256(files[0] / "r.json") == PINNED_AUDIT["json"]
+
+    def test_all_metrics_csv(self, files):
+        assert self.audit(files, files[1], "r.csv", "--format", "csv") == EXIT_OK
+        assert sha256(files[0] / "r.csv") == PINNED_AUDIT["csv"]
+
+    def test_decisions_only_lists_skip_reasons(self, files):
+        code = self.audit(files, files[4], "d.json", "--predictions", "yhat=pred")
+        assert code == EXIT_PARTIAL
+        assert sha256(files[0] / "d.json") == PINNED_AUDIT["decisions_only"]
+
+    def test_all_builds_group_stats_once(self, files, monkeypatch):
+        calls = []
+        real = group_metrics.compute_group_stats
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (group_metrics, incompatibility):
+            monkeypatch.setattr(module, "compute_group_stats", counted)
+        assert self.audit(files, files[1], "r2.json") == EXIT_OK
+        assert len(calls) == 1

@@ -1,6 +1,8 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairaudit.data import (
@@ -12,7 +14,11 @@ from fairaudit.data import (
     SensitiveAttribute,
 )
 from fairaudit.group_metrics import (
+    GroupStats,
+    MetricReport,
     ThresholdPolicy,
+    _auc_scores,
+    _compound,
     accuracy_parity,
     apply_threshold,
     auc_parity,
@@ -508,3 +514,160 @@ def test_gap_and_ratio_conventions(values):
         assert rep.ratio == 1.0  # gap 0 means ratio 1 whenever defined
     if rep.ratio == 1.0 and max(defined) > 0:
         assert rep.gap == 0.0
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-mask GroupStats pass and criterion bodies that the
+# one-pass compute_group_stats and the STATS_CRITERIA table replaced
+# ---------------------------------------------------------------------------
+
+
+def _old_mean(x):
+    return float(np.mean(x)) if len(x) else None
+
+
+def old_compute_group_stats(ds, preds):
+    """GroupStats for every group, in group-code order."""
+    out = []
+    y = ds.target
+    dec = preds.decisions if preds is not None else None
+    sc = preds.scores if preds is not None else None
+    for g, label in enumerate(ds.sensitive.group_labels):
+        m = ds.sensitive.mask(g)
+        stats = {"label": label, "count": int(m.sum())}
+        if y is not None:
+            stats["base_rate"] = _old_mean(y[m])
+        if dec is not None:
+            stats["acceptance"] = _old_mean(dec[m])
+            if y is not None:
+                ym, dm = y[m], dec[m]
+                pos, neg = ym == 1, ym == 0
+                stats["tpr"] = _old_mean(dm[pos])
+                stats["fnr"] = None if stats["tpr"] is None else 1.0 - stats["tpr"]
+                stats["fpr"] = _old_mean(dm[neg])
+                stats["tnr"] = None if stats["fpr"] is None else 1.0 - stats["fpr"]
+                stats["ppv"] = _old_mean(ym[dm == 1])
+                nm = ym[dm == 0]
+                stats["npv"] = None if len(nm) == 0 else float(np.mean(1 - nm))
+                stats["accuracy"] = _old_mean((dm == ym).astype(float))
+        if sc is not None and y is not None:
+            ym, sm = y[m], sc[m]
+            stats["mean_score_pos"] = _old_mean(sm[ym == 1])
+            stats["mean_score_neg"] = _old_mean(sm[ym == 0])
+            stats["auc"] = _auc_scores(ym, sm)
+        out.append(GroupStats(**stats))
+    return out
+
+
+def old_make_report(metric, labels, values, reasons=None):
+    reasons = reasons or {}
+    groups = dict(zip(labels, values))
+    undefined = {
+        lab: reasons.get(lab, "undefined") for lab, v in groups.items() if v is None
+    }
+    defined = [v for v in values if v is not None]
+    if not defined:
+        gap, ratio = 0.0, None
+    else:
+        hi, lo = max(defined), min(defined)
+        gap = hi - lo
+        ratio = 1.0 if hi == 0 else lo / hi
+    return MetricReport(metric, groups, float(gap), ratio, undefined)
+
+
+def _old_part(metric, stats, attr, empty_reason):
+    labels = [s.label for s in stats]
+    values = [getattr(s, attr) for s in stats]
+    reasons = {s.label: empty_reason for s, v in zip(stats, values) if v is None}
+    return old_make_report(metric, labels, values, reasons)
+
+
+# criterion -> (the inputs it checked, in order; report from GroupStats)
+OLD_CRITERIA = {
+    demographic_parity: (("decisions",), lambda st: _old_part(
+        "demographic_parity", st, "acceptance", "empty group")),
+    predictive_equality: (("decisions", "target"), lambda st: _old_part(
+        "predictive_equality", st, "fpr", "no negative cases")),
+    equality_of_opportunity: (("decisions", "target"), lambda st: _old_part(
+        "equality_of_opportunity", st, "fnr", "no positive cases")),
+    equality_of_odds: (("decisions", "target"), lambda st: _compound("equality_of_odds", {
+        "fpr": _old_part("predictive_equality", st, "fpr", "no negative cases"),
+        "fnr": _old_part("equality_of_opportunity", st, "fnr", "no positive cases")})),
+    predictive_parity: (("decisions", "target"), lambda st: _old_part(
+        "predictive_parity", st, "ppv", "no accepted rows")),
+    sufficiency: (("decisions", "target"), lambda st: _compound("sufficiency", {
+        "ppv": _old_part("ppv_parity", st, "ppv", "no accepted rows"),
+        "npv": _old_part("npv_parity", st, "npv", "no rejected rows")})),
+    accuracy_parity: (("decisions", "target"), lambda st: _old_part(
+        "accuracy_parity", st, "accuracy", "empty group")),
+    balance_positive_class: (("scores", "target"), lambda st: _old_part(
+        "balance_positive_class", st, "mean_score_pos", "no positive cases")),
+    balance_negative_class: (("scores", "target"), lambda st: _old_part(
+        "balance_negative_class", st, "mean_score_neg", "no negative cases")),
+    auc_parity: (("scores", "target"), lambda st: _old_part(
+        "auc_parity", st, "auc", "one class missing")),
+}
+OLD_MESSAGES = {
+    "decisions": "this criterion needs binary decisions",
+    "scores": "this criterion needs scores",
+    "target": "this criterion needs the ground-truth target",
+}
+
+
+@st.composite
+def audit_inputs(draw):
+    """Random groups, target, decisions and scores, with the corner cases
+    drawn on purpose: empty groups, one-class groups, groups with no
+    accepted or no rejected rows, tied scores, and absent inputs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_groups = draw(st.integers(2, 4))
+    n = draw(st.sampled_from([0, 1, 2, 5, 17, 60, 300, 700]))
+    present = draw(st.lists(st.integers(0, n_groups - 1), min_size=1, unique=True))
+    codes = rng.choice(present, size=n)
+
+    def binary(kind):
+        # per group: random, all 0 or all 1
+        p = {"random": rng.random(n_groups), "const": rng.integers(0, 2, n_groups)}[kind]
+        return (rng.random(n) < p[codes]).astype(int)
+
+    y = binary(draw(st.sampled_from(["random", "const"])))
+    dec = binary(draw(st.sampled_from(["random", "const"])))
+    scores = draw(st.sampled_from(["continuous", "ties"]))
+    sc = rng.random(n) if scores == "continuous" else rng.choice([0.0, 0.25, 0.5, 1.0], n)
+    has = draw(st.sampled_from(["both", "decisions", "scores"]))
+    sa = SensitiveAttribute("g", codes, tuple(f"g{i}" for i in range(n_groups)))
+    ds = Dataset((), sa, target=y if draw(st.booleans()) else None)
+    preds = PredictionSet(
+        decisions=None if has == "scores" else dec,
+        scores=None if has == "decisions" else sc,
+    )
+    return ds, preds
+
+
+@pytest.mark.filterwarnings("ignore:dataset has 0 rows")
+class TestOnePassAgainstPerMaskOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(audit_inputs())
+    def test_group_stats_equal_field_by_field(self, inputs):
+        ds, preds = inputs
+        new, old = compute_group_stats(ds, preds), old_compute_group_stats(ds, preds)
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            for f in fields(GroupStats):
+                assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+    @settings(max_examples=200, deadline=None)
+    @given(audit_inputs())
+    def test_criteria_reports_equal(self, inputs):
+        ds, preds = inputs
+        have = {"decisions": preds.decisions is not None,
+                "scores": preds.scores is not None,
+                "target": ds.target is not None}
+        old_stats = old_compute_group_stats(ds, preds)
+        for fn, (needs, old_report) in OLD_CRITERIA.items():
+            missing = [n for n in needs if not have[n]]
+            if missing:
+                with pytest.raises(ValueError, match=OLD_MESSAGES[missing[0]]):
+                    fn(ds, preds)
+            else:
+                assert fn(ds, preds) == old_report(old_stats), fn.__name__

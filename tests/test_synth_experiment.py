@@ -182,3 +182,20 @@ class TestPinnedOutputs:
             for name in ("experiment.csv", "experiment.json")
         )
         assert got == PINNED_OUTPUTS[seed]
+
+
+def test_one_class_test_split_is_data_error(tmp_path, monkeypatch, capsys):
+    # ROC AUC is undefined on a one-class split: exit 65, nothing written
+    import fairaudit.synth_experiment as se
+
+    real_split = se.split
+
+    def negatives_only_test(ds, fraction, seed):
+        train, test = real_split(ds, fraction=fraction, seed=seed)
+        return train, test.take(np.flatnonzero(test.target == 0))
+
+    monkeypatch.setattr(se, "split", negatives_only_test)
+    code = main(["experiment", "--n", "400", "--noise", "std", "--out", str(tmp_path)])
+    assert code == 65
+    assert "one class" in capsys.readouterr().err
+    assert not (tmp_path / "experiment.json").exists()
