@@ -28,7 +28,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .data import CATEGORICAL, CONTINUOUS, Dataset, FeatureColumn, SensitiveAttribute
 
@@ -451,11 +451,11 @@ def _draw_posterior(post, nz, draws, rng):
         p1 = post[1]
         return (rng.random((draws, len(p1))) < p1).astype(float)
     _, lo, hi = post
-    fa = norm.cdf((lo - nz.mean) / nz.std)
-    fb = norm.cdf((hi - nz.mean) / nz.std)
+    fa = ndtr((lo - nz.mean) / nz.std)
+    fb = ndtr((hi - nz.mean) / nz.std)
     q = fa + rng.random((draws, len(lo))) * (fb - fa)
     q = np.clip(q, 1e-300, 1.0 - 1e-16)
-    return nz.mean + nz.std * norm.ppf(q)
+    return nz.mean + nz.std * ndtri(q)
 
 
 def _propagate(scm, noise, fixed):

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import PredictionSet, SensitiveAttribute
 
@@ -49,6 +48,23 @@ def _mean(x):
     return float(np.mean(x)) if len(x) else None
 
 
+def _average_ranks(s):
+    """1-based ranks with each run of ties given its mean rank.
+
+    A stable sort groups equal values into runs; the run over sorted
+    positions [start, end) gets rank ``0.5 * (start + end + 1)``. Half
+    integers are exact, so this equals ``scipy.stats.rankdata(s)``.
+    """
+    s = np.asarray(s)
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(s)]
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def _auc_scores(y, s):
     """Rank-statistic AUC with ties counted one half."""
     y = np.asarray(y)
@@ -56,7 +72,7 @@ def _auc_scores(y, s):
     nneg = len(y) - npos
     if npos == 0 or nneg == 0:
         return None
-    r = rankdata(s)
+    r = _average_ranks(s)
     return float((r[y == 1].sum() - npos * (npos + 1) / 2.0) / (npos * nneg))
 
 

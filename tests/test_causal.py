@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairaudit import causal
@@ -798,3 +798,47 @@ class TestExactPassAgainstMonteCarlo:
         with pytest.raises(ValueError, match="non-finite"):
             cols = tuple(replace(c, values=x1) if c.name == "X1" else c for c in ds.features)
             cff_gap(scm, lambda v: v["X1"] > 0, replace(ds, features=cols), 0.0, 1.0)
+
+
+# ``_draw_posterior``'s truncated-gaussian branch as it was written over
+# ``scipy.stats.norm``, kept verbatim as the reference (only the name
+# differs): on intervals whose standardised lower end is at most 0 the
+# ``scipy.special`` form must keep every bit.
+
+
+def _norm_draw_tnorm(post, nz, draws, rng):
+    from scipy.stats import norm
+
+    _, lo, hi = post
+    fa = norm.cdf((lo - nz.mean) / nz.std)
+    fb = norm.cdf((hi - nz.mean) / nz.std)
+    q = fa + rng.random((draws, len(lo))) * (fb - fa)
+    q = np.clip(q, 1e-300, 1.0 - 1e-16)
+    return nz.mean + nz.std * norm.ppf(q)
+
+
+@st.composite
+def lower_half_intervals(draw):
+    """Truncation intervals, in standard units, whose lower end is <= 0."""
+    m = draw(st.integers(1, 6))
+    zlo = np.array(draw(st.lists(
+        st.one_of(st.just(-np.inf), st.floats(-30.0, 0.0)), min_size=m, max_size=m
+    )))
+    width = np.array(draw(st.lists(
+        st.one_of(st.just(np.inf), st.floats(0.05, 60.0)), min_size=m, max_size=m
+    )))
+    return zlo, np.where(np.isinf(zlo), -30.0, zlo) + width
+
+
+class TestDrawPosteriorPins:
+    @settings(max_examples=200, deadline=None)
+    @given(lower_half_intervals(), st.floats(-3.0, 3.0), st.floats(0.05, 4.0),
+           st.integers(1, 64), st.integers(0, 2**32 - 1))
+    def test_equals_norm_formula_when_lower_end_at_most_zero(self, zs, mean, std, draws, seed):
+        zlo, zhi = zs
+        nz = NoiseSpec.gaussian(mean, std)
+        post = ("tnorm", mean + std * zlo, mean + std * zhi)
+        assume((((post[1] - mean) / std) <= 0).all())
+        new = _draw_posterior(post, nz, draws, np.random.default_rng(seed))
+        ref = _norm_draw_tnorm(post, nz, draws, np.random.default_rng(seed))
+        assert np.array_equal(new, ref)

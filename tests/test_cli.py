@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -785,3 +789,42 @@ class TestPinnedAuditReports:
             monkeypatch.setattr(module, "compute_group_stats", counted)
         assert self.audit(files, files[1], "r2.json") == EXIT_OK
         assert len(calls) == 1
+
+
+# Run in a fresh interpreter: the package must serve a counterfactual query
+# and decision and score audits without importing ``scipy.stats``, whose
+# import alone costs about as much as the rest of start-up.
+_NO_SCIPY_STATS = """
+import sys
+from importlib import resources
+
+from fairaudit import cli
+
+data, schema, out = sys.argv[1:4]
+scm = resources.files("fairaudit") / "scm_models" / "synthetic_high.json"
+codes = [
+    cli.main(["counterfactual", "--scm", str(scm), "--unit", "A=1,X1=0.8,X2=-0.2,X3=1,Y=1",
+              "--do", "A=0", "--budget", "500", "--output", out + "/cf.json"]),
+    cli.main(["audit", "--data", data, "--schema", schema, "--predictions", "yhat=pred",
+              "--metrics", "all", "--output", out + "/d.json"]),
+    cli.main(["audit", "--data", data, "--schema", schema,
+              "--predictions", "yhat=pred,score=score", "--metrics", "all",
+              "--output", out + "/s.json"]),
+]
+print(codes, "scipy.stats" in sys.modules)
+"""
+
+
+def test_commands_do_not_import_scipy_stats(toy_csv, tmp_path):
+    data, schema = toy_csv
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_STATS, str(data), str(schema), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == f"[{EXIT_OK}, {EXIT_PARTIAL}, {EXIT_PARTIAL}] False"
+    assert json.loads((tmp_path / "s.json").read_text())["metrics"]["auc_parity"]["gap"] >= 0

@@ -18,6 +18,7 @@ from fairaudit.group_metrics import (
     MetricReport,
     ThresholdPolicy,
     _auc_scores,
+    _average_ranks,
     _compound,
     accuracy_parity,
     apply_threshold,
@@ -671,3 +672,57 @@ class TestOnePassAgainstPerMaskOracle:
                     fn(ds, preds)
             else:
                 assert fn(ds, preds) == old_report(old_stats), fn.__name__
+
+
+# ``_auc_scores`` as it was written over ``scipy.stats.rankdata``, kept
+# verbatim as the reference for the numpy average ranks (only the name
+# differs); tests may import ``scipy.stats``, the package does not.
+
+
+def _rankdata_auc_scores(y, s):
+    """Rank-statistic AUC with ties counted one half."""
+    from scipy.stats import rankdata
+
+    y = np.asarray(y)
+    npos = int(y.sum())
+    nneg = len(y) - npos
+    if npos == 0 or nneg == 0:
+        return None
+    r = rankdata(s)
+    return float((r[y == 1].sum() - npos * (npos + 1) / 2.0) / (npos * nneg))
+
+
+@st.composite
+def tie_heavy(draw, max_len=2000):
+    """Arrays of a few distinct levels, integers or floats, ties everywhere."""
+    levels = draw(st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False), min_size=1, max_size=5
+    ))
+    n = draw(st.integers(0, max_len))
+    seed = draw(st.integers(0, 2**32 - 1))
+    picks = np.random.default_rng(seed).integers(0, len(levels), n)
+    values = np.asarray(levels)[picks]
+    return values.astype(np.int64) if draw(st.booleans()) else values
+
+
+class TestAverageRanks:
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy())
+    def test_equals_scipy_rankdata(self, s):
+        from scipy.stats import rankdata
+
+        assert np.array_equal(_average_ranks(s), rankdata(s))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 2000])
+    def test_all_equal(self, n):
+        from scipy.stats import rankdata
+
+        s = np.full(n, 0.25)
+        assert np.array_equal(_average_ranks(s), rankdata(s))
+        assert np.array_equal(_average_ranks(s), np.full(n, (n + 1) / 2.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy(), st.integers(0, 2**32 - 1))
+    def test_auc_equals_rankdata_auc(self, s, seed):
+        y = np.random.default_rng(seed).integers(0, 2, len(s))
+        assert _auc_scores(y, s) == _rankdata_auc_scores(y, s)
