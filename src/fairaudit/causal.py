@@ -12,7 +12,9 @@ inference exact or cheaply simulable:
   enumerating the noise values consistent with the observation;
 - threshold nodes with gaussian noise get a truncated-gaussian posterior
   (the observation pins the halfline the noise fell in), sampled by
-  inverse CDF.
+  inverse CDF on the lower tail: a halfline above the noise mean is
+  mirrored below it, drawn there and negated, so a deep upper tail keeps
+  its precision instead of rounding to a CDF value of 1.
 
 Prediction propagates posterior draws through the intervened model;
 when every posterior is a point mass a single exact pass is used. The
@@ -365,6 +367,7 @@ def _is_discrete(scm, node):
 # ---------------------------------------------------------------------------
 
 _TOL = 1e-9
+_Q_MIN = np.nextafter(0.0, 1.0)  # least positive double: ndtri(0) is -inf
 
 
 def _abduct(scm, obs):
@@ -441,8 +444,17 @@ def _point_mass(post):
     return kind == "bern01" and not ((post[1] > 0) & (post[1] < 1)).any()
 
 
-def _draw_posterior(post, nz, draws, rng):
-    """Draw (draws, m) noise values from a block posterior."""
+def _draw_posterior(post, nz, draws, rng, node=None, start=0):
+    """Draw (draws, m) noise values from a block posterior.
+
+    A truncated gaussian is drawn by inverting the standard normal CDF on a
+    uniform between the CDF values at its ends. An interval whose
+    standardised lower end is above 0 is mirrored first: drawn on
+    (-hi, -lo) and negated, so the CDF values stay in the lower tail, where
+    they keep their precision instead of rounding to 1. An interval whose
+    mass underflows to 0 raises ``AbductionError`` naming ``node`` and the
+    unit (``start`` is the block's first unit).
+    """
     kind = post[0]
     if kind == "point":
         u = post[1]
@@ -451,11 +463,22 @@ def _draw_posterior(post, nz, draws, rng):
         p1 = post[1]
         return (rng.random((draws, len(p1))) < p1).astype(float)
     _, lo, hi = post
-    fa = ndtr((lo - nz.mean) / nz.std)
-    fb = ndtr((hi - nz.mean) / nz.std)
+    zlo = (lo - nz.mean) / nz.std
+    zhi = (hi - nz.mean) / nz.std
+    flip = zlo > 0
+    fa = ndtr(np.where(flip, -zhi, zlo))
+    fb = ndtr(np.where(flip, -zlo, zhi))
+    empty = ~(fb > fa)
+    if empty.any():
+        raise AbductionError(
+            f"node {node!r}: truncated-gaussian posterior has no mass at unit "
+            f"{start + int(np.flatnonzero(empty)[0])}"
+        )
     q = fa + rng.random((draws, len(lo))) * (fb - fa)
-    q = np.clip(q, 1e-300, 1.0 - 1e-16)
-    return nz.mean + nz.std * ndtri(q)
+    z = ndtri(np.clip(q, _Q_MIN, 1.0 - 1e-16))
+    if flip.any():
+        z = np.where(flip, -z, z)
+    return nz.mean + nz.std * z
 
 
 def _propagate(scm, noise, fixed):
@@ -524,7 +547,7 @@ def counterfactual(scm, query, mc_budget=10000, seed=0, return_samples=False):
     draws = 1 if exact else int(mc_budget)
     rng = np.random.default_rng(seed)
     noise = {
-        node: _draw_posterior(posteriors[node], scm.noises[node], draws, rng)
+        node: _draw_posterior(posteriors[node], scm.noises[node], draws, rng, node)
         for node in scm.dag.nodes
     }
     fixed = dict(query.intervention)
@@ -641,7 +664,7 @@ def _mc_decision_probs(
         block = {node: (p[0],) + tuple(a[sl] for a in p[1:]) for node, p in posteriors.items()}
         draws = 1 if all(_point_mass(p) for p in block.values()) else int(mc_budget)
         noise = {
-            node: _draw_posterior(block[node], scm.noises[node], draws, rng)
+            node: _draw_posterior(block[node], scm.noises[node], draws, rng, node, start)
             for node in scm.dag.nodes
         }
         held = {med: obs[med][sl] for med in mediators}

@@ -842,3 +842,100 @@ class TestDrawPosteriorPins:
         new = _draw_posterior(post, nz, draws, np.random.default_rng(seed))
         ref = _norm_draw_tnorm(post, nz, draws, np.random.default_rng(seed))
         assert np.array_equal(new, ref)
+
+
+def _tnorm_moments(zlo, zhi):
+    """Mean and variance of the standard normal truncated to [zlo, zhi].
+
+    Worked in logs on the lower-tail side (an interval above 0 is mirrored),
+    so the moments stay exact where the mass is far below 1e-300. Returns
+    the log mass too.
+    """
+    from scipy.special import log_ndtr
+
+    sign = -1.0 if zlo > 0 else 1.0
+    a, b = (-zhi, -zlo) if sign < 0 else (zlo, zhi)
+    la, lb = log_ndtr(a), log_ndtr(b)
+    log_mass = lb + np.log1p(-np.exp(la - lb)) if la < lb else -np.inf
+
+    def dens(x):  # phi(x) / mass, and x * phi(x) / mass
+        if np.isinf(x):
+            return 0.0, 0.0
+        d = np.exp(-0.5 * x * x - 0.5 * np.log(2 * np.pi) - log_mass)
+        return d, x * d
+
+    (da, xda), (db, xdb) = dens(a), dens(b)
+    mean = da - db
+    return sign * mean, 1.0 + xda - xdb - mean * mean, log_mass
+
+
+@st.composite
+def tail_intervals(draw):
+    """Truncation intervals, in standard units, with ends in [-45, 45]."""
+    end = st.floats(-45.0, 45.0)
+    kind = draw(st.sampled_from(["above", "below", "between"]))
+    if kind == "above":
+        return draw(end), np.inf
+    if kind == "below":
+        return -np.inf, draw(end)
+    lo = draw(end)
+    return lo, lo + draw(st.floats(1e-3, 90.0))
+
+
+class TestTruncatedGaussianTails:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(tail_intervals(), min_size=1, max_size=4), st.floats(-3.0, 3.0),
+           st.floats(0.05, 4.0), st.integers(0, 2**32 - 1))
+    def test_draws_stay_inside_and_match_the_mean(self, intervals, mean, std, seed):
+        zlo = np.array([iv[0] for iv in intervals])
+        zhi = np.array([iv[1] for iv in intervals])
+        lo, hi = mean + std * zlo, mean + std * zhi
+        nz, draws = NoiseSpec.gaussian(mean, std), 10000
+        moments = [_tnorm_moments((l - mean) / std, (h - mean) / std) for l, h in zip(lo, hi)]
+        try:
+            out = _draw_posterior(("tnorm", lo, hi), nz, draws, np.random.default_rng(seed), "U")
+        except AbductionError as exc:
+            unit = int(str(exc).rsplit(" ", 1)[1])
+            assert str(exc).startswith("node 'U': ")
+            assert moments[unit][2] < np.log(1e-300)  # the mass really underflows
+            return
+        assert out.shape == (draws, len(intervals))
+        assert ((out >= lo) & (out <= hi)).all()
+        for j, (m, v, _) in enumerate(moments):
+            stderr = std * np.sqrt(max(v, 0.0) / draws)
+            expect = mean + std * m
+            assert abs(out[:, j].mean() - expect) <= 6 * stderr + 1e-12 * abs(expect)
+
+    @pytest.mark.parametrize("k", [7.5, 8.0, 8.5, 20.0, 37.0])
+    def test_deep_upper_tail_is_resolved(self, k):
+        # before the mirror, ndtr rounded these upper tails to 1: at 7.5 sd
+        # 10,000 draws took 287 values, from 8.5 sd every draw sat below lo
+        nz = NoiseSpec.gaussian(0.0, 0.5)
+        lo = np.array([0.5 * k])
+        out = _draw_posterior(("tnorm", lo, np.array([np.inf])), nz, 10000,
+                              np.random.default_rng(0))
+        assert len(np.unique(out)) == 10000
+        assert (out >= lo).all()
+
+    def test_underflowing_mass_names_node_and_unit(self):
+        nz = NoiseSpec.gaussian(0.0, 0.5)
+        lo = np.array([-np.inf, -np.inf, -np.inf])
+        hi = np.array([0.0, 1.0, -20.0])  # the last one is 40 sd below the mean
+        with pytest.raises(AbductionError, match="node 'Y': .* at unit 12$"):
+            _draw_posterior(("tnorm", lo, hi), nz, 5, np.random.default_rng(0), "Y", 10)
+
+    def test_counterfactual_on_an_impossible_tail_raises(self):
+        scm = bundled_scm("high")
+        unit = {"A": 0.0, "X1": 0.0, "X2": -40.0, "X3": 0.0, "Y": 1.0}
+        query = CounterfactualQuery(unit, {"A": 1.0})
+        with pytest.raises(AbductionError, match="node 'Y': .* at unit 0$"):
+            counterfactual(scm, query, mc_budget=100)
+
+    def test_monte_carlo_blocks_name_the_unit(self, monkeypatch):
+        scm = bundled_scm("high")
+        obs, _ = simulate(scm, 10, seed=3)
+        obs["X2"][6], obs["Y"][6] = -40.0, 1.0
+        monkeypatch.setattr(causal, "_UNIT_BLOCK", 4)
+        fn = lambda v: v["Y"] > 0.5  # reads Y: Monte Carlo, in blocks of 4
+        with pytest.raises(AbductionError, match="node 'Y': .* at unit 6$"):
+            causal._decision_probs(scm, fn, obs, [{"A": 0.0}], frozenset(), 8, 0)
