@@ -417,7 +417,10 @@ def cmd_experiment(args):
     )
     (outdir / "experiment.csv").write_text(report.to_csv(), encoding="utf-8")
     sys.stdout.write(report.to_csv())
-    return EXIT_OK
+    failures = report.failures()
+    for dataset, approach, reason in failures:
+        print(f"warning: {dataset} {approach} failed: {reason}", file=sys.stderr)
+    return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def _non_negative_int(text):

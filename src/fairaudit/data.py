@@ -63,11 +63,16 @@ class FeatureColumn:
             if self.labels is not None and vals.max() >= len(self.labels):
                 raise ValueError(f"column {self.name!r}: code outside label table")
 
+    @property
+    def code_labels(self):
+        """``labels``, or each code as text when the column has none."""
+        return self.labels or tuple(str(c) for c in range(int(self.values.max(initial=-1)) + 1))
+
     def decode(self):
         """Original strings of a categorical column (round-trip of coding)."""
         if self.kind != CATEGORICAL:
             raise ValueError("decode() only applies to categorical columns")
-        labels = self.labels or tuple(str(c) for c in range(int(self.values.max(initial=-1)) + 1))
+        labels = self.code_labels
         return [labels[c] for c in self.values]
 
     def take(self, idx):

@@ -21,7 +21,7 @@ Mitigation strategies:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -93,13 +93,21 @@ class SuppressionReport:
 
 @dataclass(frozen=True)
 class _Encoder:
-    """Feature-encoding record: one-hot maps and standardisation constants."""
+    """Feature-encoding record: one-hot maps and standardisation constants.
+
+    Codes are the training data's. ``labels`` (categorical column name ->
+    label of each code) and ``sensitive_labels`` let other data be put in
+    those codes (:func:`_in_training_codes`); models saved without them
+    read codes as they come.
+    """
 
     columns: tuple      # (name, kind, observed levels or None)
     include_sensitive: bool
     sensitive_levels: tuple
     means: np.ndarray
     scales: np.ndarray
+    labels: dict | None = None
+    sensitive_labels: tuple | None = None
 
     def to_json_dict(self):
         return {
@@ -111,10 +119,13 @@ class _Encoder:
             "sensitive_levels": list(self.sensitive_levels),
             "means": self.means.tolist(),
             "scales": self.scales.tolist(),
+            "labels": {name: list(lab) for name, lab in self.labels.items()},
+            "sensitive_labels": list(self.sensitive_labels),
         }
 
     @classmethod
     def from_json_dict(cls, doc):
+        labels = doc.get("labels")
         return cls(
             tuple(
                 (c["name"], c["kind"], None if c["levels"] is None else tuple(c["levels"]))
@@ -124,7 +135,51 @@ class _Encoder:
             tuple(doc["sensitive_levels"]),
             np.asarray(doc["means"], dtype=float),
             np.asarray(doc["scales"], dtype=float),
+            None if labels is None else {name: tuple(lab) for name, lab in labels.items()},
+            None if labels is None else tuple(doc["sensitive_labels"]),
         )
+
+
+def _recode(codes, labels, training_labels, what):
+    """Codes of ``labels`` renumbered to the positions of ``training_labels``."""
+    index = {lab: i for i, lab in enumerate(training_labels)}
+    table = np.array([index.get(lab, -1) for lab in labels], dtype=int)
+    out = table[codes] if len(table) else np.asarray(codes, dtype=int)
+    if (out < 0).any():
+        raise ValueError(
+            f"unseen level {labels[codes[out < 0][0]]!r} in {what}; "
+            "the model was not trained on this level"
+        )
+    return out
+
+
+def _in_training_codes(ds, enc):
+    """``ds`` with its categorical and group codes renumbered as at training.
+
+    Codes are assigned in order of first appearance, so the same label can
+    carry different codes in two files, or in two orderings of one file.
+    The encoder and the threshold policy are keyed by training codes.
+    """
+    if enc.labels is None:
+        return ds
+    features = tuple(
+        replace(
+            c,
+            values=_recode(c.values, c.code_labels, enc.labels[c.name], f"column {c.name!r}"),
+            labels=enc.labels[c.name],
+        )
+        if c.kind == CATEGORICAL and c.name in enc.labels
+        else c
+        for c in ds.features
+    )
+    sens = ds.sensitive
+    sens = replace(
+        sens,
+        values=_recode(sens.values, sens.group_labels, enc.sensitive_labels,
+                       "the sensitive attribute"),
+        group_labels=enc.sensitive_labels,
+    )
+    return replace(ds, features=features, sensitive=sens)
 
 
 def _one_hot_observed(codes, levels, what):
@@ -180,7 +235,11 @@ def _fit_encoder(ds, feature_names, include_sensitive):
     means = raw.mean(axis=0) if len(raw) else np.zeros(raw.shape[1])
     scales = raw.std(axis=0) if len(raw) else np.ones(raw.shape[1])
     scales = np.where(scales == 0, 1.0, scales)
-    return _Encoder(tuple(columns), include_sensitive, sens_levels, means, scales)
+    labels = {c.name: c.code_labels for c in ds.features if c.kind == CATEGORICAL}
+    return _Encoder(
+        tuple(columns), include_sensitive, sens_levels, means, scales,
+        labels, ds.sensitive.group_labels,
+    )
 
 
 def _encode(ds, enc):
@@ -322,9 +381,11 @@ def predict(model, ds, policy=None):
     """Scores (logistic outputs) and decisions for a dataset.
 
     Decisions follow the threshold policy when given, else the fixed rule
-    score >= 0.5. Unseen categorical codes raise: silently defaulting a
-    level would fabricate predictions.
+    score >= 0.5. Categorical levels and groups are matched to the training
+    data by label; unseen ones raise: silently defaulting a level would
+    fabricate predictions.
     """
+    ds = _in_training_codes(ds, model.encoder)
     x = _encode(ds, model.encoder)
     scores = _sigmoid(x @ model.weights + model.intercept)
     if policy is None:
@@ -393,6 +454,7 @@ def _fit_scores(ds, model):
 
 def fit_dp_threshold(ds, model, grid_size=100):
     """Per-group thresholds enforcing a common acceptance rate on ``ds``."""
+    ds = _in_training_codes(ds, model.encoder)
     return fit_dp_threshold_scores(
         _fit_scores(ds, model), ds.sensitive.values, ds.sensitive.n_groups,
         ds.target, grid_size,
@@ -406,6 +468,7 @@ def fit_cdp_threshold(ds, model, conditioning, grid_size=100, min_count=30):
     policy, as do group cells absent from a stratum; both are flagged so
     the report can disclose them.
     """
+    ds = _in_training_codes(ds, model.encoder)
     codes, labels = ds.column_codes(conditioning)
     scores, groups = _fit_scores(ds, model), ds.sensitive.values
     n_groups = ds.sensitive.n_groups

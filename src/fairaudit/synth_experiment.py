@@ -194,6 +194,16 @@ class ApproachMetrics:
 
 
 @dataclass(frozen=True)
+class FailedApproach:
+    """An approach that could not be trained or evaluated, with the reason."""
+
+    reason: str
+
+    def to_json_dict(self):
+        return {"failed": self.reason}
+
+
+@dataclass(frozen=True)
 class DatasetBlock:
     name: str
     u_target_attr: float
@@ -229,8 +239,20 @@ class ExperimentReport:
             "datasets": {b.name: b.to_json_dict() for b in self.blocks},
         }
 
+    def failures(self):
+        """``(dataset, approach, reason)`` for every failed cell, in table order."""
+        return [
+            (b.name, a, m.reason)
+            for b in self.blocks
+            for a, m in b.approaches.items()
+            if isinstance(m, FailedApproach)
+        ]
+
     def to_csv(self):
-        """One block per dataset: metric rows, approach columns, one decimal."""
+        """One block per dataset: metric rows, approach columns, one decimal.
+
+        A failed approach leaves its cells empty.
+        """
         names = list(self.blocks[0].approaches) if self.blocks else []
         lines = ["dataset,metric," + ",".join(names)]
         for b in self.blocks:
@@ -243,7 +265,8 @@ class ExperimentReport:
                 ("DP-ratio", "dp_ratio"),
             ):
                 cells = ",".join(
-                    f"{getattr(b.approaches[a], attr):.1f}" for a in names
+                    "" if isinstance(m, FailedApproach) else f"{getattr(m, attr):.1f}"
+                    for m in (b.approaches[a] for a in names)
                 )
                 lines.append(f"{b.name},{metric},{cells}")
         return "\n".join(lines) + "\n"
@@ -323,7 +346,11 @@ def run_experiment(
     ``datasets`` is a sequence of ``(name, Dataset, cdp_conditioning)``
     triples; by default the two built-in synthetic datasets are generated
     (under the calibrated noise reading unless one is forced) and
-    conditioned on X3 for CDP. All randomness derives from ``seed``.
+    conditioned on X3 for CDP. All randomness derives from ``seed``. An
+    approach that raises ``ValueError`` (e.g. it drops every feature) is
+    reported as a :class:`FailedApproach` and the rest of the table is
+    still computed; a test split that holds one class, where no approach
+    has an AUC, raises.
     """
     calibration = None
     notes = [
@@ -348,16 +375,21 @@ def run_experiment(
         train_ds, test_ds = split(
             ds, fraction=split_fraction, seed=derive_seed(seed, f"split:{name}")
         )
+        if len(set(test_ds.target.tolist())) < 2:
+            raise ValueError(f"{name}: the test split holds one class, so ROC AUC is undefined")
         cells = {}
         for approach in approaches:
-            cells[approach] = evaluate_approach(
-                approach,
-                train_ds,
-                test_ds,
-                conditioning,
-                derive_seed(seed, f"cell:{name}:{approach}"),
-                synthetic,
-            )
+            try:
+                cells[approach] = evaluate_approach(
+                    approach,
+                    train_ds,
+                    test_ds,
+                    conditioning,
+                    derive_seed(seed, f"cell:{name}:{approach}"),
+                    synthetic,
+                )
+            except ValueError as exc:
+                cells[approach] = FailedApproach(str(exc))
         blocks.append(DatasetBlock(name, _u_target_attr(ds), cells))
     return ExperimentReport(
         tuple(blocks),

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairaudit import group_metrics, incompatibility
 from fairaudit.causal import save_scm
@@ -588,23 +590,53 @@ class TestExperimentCli:
         doc = json.loads((outdir / "experiment.json").read_text())
         assert set(doc["datasets"]) == {"synthetic#1", "synthetic#2"}
 
-    def test_adult_like_file_adds_block(self, tmp_path):
-        rng = np.random.default_rng(4)
-        rows = ["age,workclass,marital-status,sex,income"]
-        for _ in range(400):
+    @staticmethod
+    def census_like(tmp_path, rows, seed):
+        """A census-like file whose features are drawn independently of sex."""
+        rng = np.random.default_rng(seed)
+        lines = ["age,workclass,marital-status,sex,income"]
+        for _ in range(rows):
             age = int(rng.integers(20, 70))
             wc = rng.choice(["private", "gov", "self"])
             ms = rng.choice(["married", "single"])
             sex = rng.choice(["m", "f"])
             inc = ">50K" if rng.random() < (0.4 if sex == "m" else 0.25) else "<=50K"
-            rows.append(f"{age},{wc},{ms},{sex},{inc}")
+            lines.append(f"{age},{wc},{ms},{sex},{inc}")
         data = tmp_path / "census.csv"
-        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
         schema = tmp_path / "census.cfg"
         schema.write_text(
             "sensitive = sex\ntarget = income\npositive = >50K\ncontinuous = age\n",
             encoding="utf-8",
         )
+        return data, schema
+
+    def test_failed_approach_leaves_the_rest_of_the_table(self, tmp_path, capsys):
+        # on these 200 rows chance correlations with sex exceed Supp_l's 5%
+        # threshold for every feature, so Supp_l has nothing left to train on
+        data, schema = self.census_like(tmp_path, 200, 5)
+        outdir = tmp_path / "exp"
+        code = main(["experiment", "--adult", str(data), "--adult-schema", str(schema),
+                     "--n", "600", "--noise", "std", "--seed", "5", "--out", str(outdir)])
+        assert code == EXIT_PARTIAL
+        reason = "all features dropped; the model would be degenerate"
+        assert f"warning: adult Supp_l failed: {reason}" in capsys.readouterr().err
+        doc = json.loads((outdir / "experiment.json").read_text())
+        assert set(doc["datasets"]) == {"adult", "synthetic#1", "synthetic#2"}
+        adult = doc["datasets"]["adult"]["approaches"]
+        assert adult["Supp_l"] == {"failed": reason}
+        assert all("ROC AUC" in adult[a] for a in ("FTU", "Supp_h", "CDP", "DP"))
+        assert all("failed" not in cell for name, block in doc["datasets"].items()
+                   if name != "adult" for cell in block["approaches"].values())
+        rows = (outdir / "experiment.csv").read_text().splitlines()
+        assert rows[0] == "dataset,metric,FTU,Supp_l,Supp_h,CDP,DP"
+        for row in rows[2:6]:  # the adult block's metric rows
+            cells = row.split(",")[2:]
+            assert cells[1] == "" and all(cells[i] for i in (0, 2, 3, 4))
+        assert all("" not in row.split(",")[2:] for row in rows[6:] if "U(Y;A)" not in row)
+
+    def test_adult_like_file_adds_block(self, tmp_path):
+        data, schema = self.census_like(tmp_path, 400, 4)
         outdir = tmp_path / "exp"
         code = main(
             [
@@ -789,6 +821,75 @@ class TestPinnedAuditReports:
             monkeypatch.setattr(module, "compute_group_stats", counted)
         assert self.audit(files, files[1], "r2.json") == EXIT_OK
         assert len(calls) == 1
+
+
+def _same_report(got, want, path="report"):
+    """Equal structure, exactly equal ints and strings, floats within 1e-12 relative.
+
+    Means summed in another row order differ in their last bits, so a gap
+    (a difference of two such means, of order one) may differ by 1e-16 or
+    so however small it is: floats also pass within 1e-14 absolute. Lists
+    of strings (flags, skipped cells) compare as multisets: they name
+    groups in group-code order, which is the order groups first appear.
+    """
+    if isinstance(want, list) and all(isinstance(w, str) for w in want):
+        assert isinstance(got, list) and sorted(got) == sorted(want), path
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and set(got) == set(want), path
+        for k in want:
+            _same_report(got[k], want[k], f"{path}.{k}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _same_report(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and got == pytest.approx(want, rel=1e-12, abs=1e-14), path
+    else:
+        assert type(got) is type(want) and got == want, path
+
+
+class TestRowOrderInvariance:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("order")
+        data, schema, model = root / "data.csv", root / "synth.schema", root / "model.json"
+        schema.write_text(AUDIT_SCHEMA, encoding="utf-8")
+        assert main(["synth", "--target", "high", "--n", "1000", "--seed", "3",
+                     "--output", str(data)]) == EXIT_OK
+        assert main(["train", "--data", str(data), "--schema", str(schema),
+                     "--strategy", "dp", "--seed", "0", "--model-out", str(model)]) == EXIT_OK
+        return root, data.read_text(encoding="utf-8").splitlines(), schema, model
+
+    def audit(self, files, lines, name):
+        root, _, schema, model = files
+        data, out = root / f"{name}.csv", root / f"{name}.json"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out.unlink(missing_ok=True)
+        code = main(["audit", "--data", str(data), "--schema", str(schema),
+                     "--model", str(model), "--metrics", "all", "--condition-on", "X1",
+                     "--output", str(out)])
+        return code, json.loads(out.read_text(encoding="utf-8")) if out.exists() else None
+
+    # up to 141 rows the Lipschitz audit examines all pairs (its default
+    # --max-pairs is 10000); above that it samples pairs by row index
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 141), st.integers(0, 2**32 - 1))
+    def test_permuted_rows_give_the_same_metrics(self, files, n, seed):
+        header, body = files[1][0], files[1][1:]
+        rng = np.random.default_rng(seed)
+        rows = [body[i] for i in rng.choice(len(body), n, replace=False)]
+        perm = rng.permutation(n)
+        code, want = self.audit(files, [header] + rows, "rows")
+        got_code, got = self.audit(files, [header] + [rows[i] for i in perm], "permuted")
+        assert got_code == code
+        if want is None:  # e.g. a one-group sample is a data error either way
+            assert code == EXIT_DATA and got is None
+            return
+        lip = got["metrics"]["lipschitz_audit"]
+        for key in ("worst_pairs", "zero_distance_witnesses"):  # row numbers, mapped back
+            for pair in lip.get(key, []):
+                pair[:2] = sorted(int(perm[i]) for i in pair[:2])
+        _same_report(got, want)
 
 
 # Run in a fresh interpreter: the package must serve a counterfactual query

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -364,6 +365,59 @@ class TestPersistence:
         assert loaded.stratum_column == "X3"
         assert loaded.fallback_cells == policy.fallback_cells
         assert loaded.target_rate == policy.target_rate
+
+    @staticmethod
+    def relabelled(ds):
+        """The same rows with every categorical and group code swapped (labels follow)."""
+        x3 = ds.feature("X3")
+        features = tuple(
+            replace(c, values=1 - c.values, labels=tuple(reversed(c.code_labels)))
+            if c is x3 else c
+            for c in ds.features
+        )
+        sens = replace(ds.sensitive, values=1 - ds.sensitive.values,
+                       group_labels=tuple(reversed(ds.sensitive.group_labels)))
+        return replace(ds, features=features, sensitive=sens)
+
+    def test_levels_and_groups_matched_by_label(self, tmp_path):
+        # codes follow first appearance, so another file (or another order
+        # of the same rows) can code the same labels differently
+        ds = generate(SynthConfig(n=1500, target="high", seed=15))
+        model = train(ds, MitigationSpec(CDP_POST, conditioning="X3"))
+        policy = fit_cdp_threshold(ds, model, "X3")
+        path = tmp_path / "model.json"
+        save_model(model, path, policy)
+        loaded, loaded_policy = load_model(path)
+        other = self.relabelled(ds)
+        want = predict(model, ds, policy)
+        for m, p in ((model, policy), (loaded, loaded_policy)):
+            got = predict(m, other, p)
+            assert np.array_equal(got.scores, want.scores)
+            assert np.array_equal(got.decisions, want.decisions)
+        assert fit_cdp_threshold(other, model, "X3").cells == policy.cells
+
+    def test_model_without_label_tables_reads_codes(self, tmp_path):
+        ds = generate(SynthConfig(n=800, target="high", seed=16))
+        model = train(ds, MitigationSpec(DP_POST))
+        path = tmp_path / "model.json"
+        save_model(model, path, fit_dp_threshold(ds, model))
+        doc = json.loads(path.read_text())
+        for key in ("labels", "sensitive_labels"):
+            del doc["encoder"][key]
+        path.write_text(json.dumps(doc))
+        old, policy = load_model(path)
+        assert old.encoder.labels is None
+        other = self.relabelled(ds)
+        # the same codes under the training labels: a model without label
+        # tables cannot tell the two apart
+        codes_only = replace(
+            other,
+            features=tuple(replace(c, labels=d.labels) for c, d in zip(other.features, ds.features)),
+            sensitive=replace(other.sensitive, group_labels=ds.sensitive.group_labels),
+        )
+        got = predict(old, other, policy).scores
+        assert np.array_equal(got, predict(old, codes_only, policy).scores)
+        assert not np.array_equal(got, predict(model, other).scores)
 
     def test_save_load_suppression_report(self, tmp_path):
         ds = generate(SynthConfig(n=800, target="high", seed=14))
