@@ -141,10 +141,15 @@ class _Encoder:
 
 
 def _recode(codes, labels, training_labels, what):
-    """Codes of ``labels`` renumbered to the positions of ``training_labels``."""
+    """Codes of ``labels`` renumbered to the positions of ``training_labels``.
+
+    None when every label already sits at its training position.
+    """
+    if tuple(labels) == tuple(training_labels[: len(labels)]):
+        return None
     index = {lab: i for i, lab in enumerate(training_labels)}
     table = np.array([index.get(lab, -1) for lab in labels], dtype=int)
-    out = table[codes] if len(table) else np.asarray(codes, dtype=int)
+    out = table[codes]
     if (out < 0).any():
         raise ValueError(
             f"unseen level {labels[codes[out < 0][0]]!r} in {what}; "
@@ -162,24 +167,20 @@ def _in_training_codes(ds, enc):
     """
     if enc.labels is None:
         return ds
-    features = tuple(
-        replace(
-            c,
-            values=_recode(c.values, c.code_labels, enc.labels[c.name], f"column {c.name!r}"),
-            labels=enc.labels[c.name],
-        )
-        if c.kind == CATEGORICAL and c.name in enc.labels
-        else c
-        for c in ds.features
+    features = []
+    for c in ds.features:
+        codes = None
+        if c.kind == CATEGORICAL and c.name in enc.labels:
+            codes = _recode(c.values, c.code_labels, enc.labels[c.name], f"column {c.name!r}")
+        features.append(c if codes is None else replace(c, values=codes, labels=enc.labels[c.name]))
+    groups = _recode(ds.sensitive.values, ds.sensitive.group_labels, enc.sensitive_labels,
+                     "the sensitive attribute")
+    if groups is None and all(f is c for f, c in zip(features, ds.features)):
+        return ds
+    sens = ds.sensitive if groups is None else replace(
+        ds.sensitive, values=groups, group_labels=enc.sensitive_labels
     )
-    sens = ds.sensitive
-    sens = replace(
-        sens,
-        values=_recode(sens.values, sens.group_labels, enc.sensitive_labels,
-                       "the sensitive attribute"),
-        group_labels=enc.sensitive_labels,
-    )
-    return replace(ds, features=features, sensitive=sens)
+    return replace(ds, features=tuple(features), sensitive=sens)
 
 
 def _one_hot_observed(codes, levels, what):
