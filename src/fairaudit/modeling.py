@@ -110,7 +110,7 @@ class _Encoder:
     sensitive_labels: tuple | None = None
 
     def to_json_dict(self):
-        return {
+        doc = {
             "columns": [
                 {"name": n, "kind": k, "levels": None if lv is None else list(lv)}
                 for n, k, lv in self.columns
@@ -119,9 +119,11 @@ class _Encoder:
             "sensitive_levels": list(self.sensitive_levels),
             "means": self.means.tolist(),
             "scales": self.scales.tolist(),
-            "labels": {name: list(lab) for name, lab in self.labels.items()},
-            "sensitive_labels": list(self.sensitive_labels),
         }
+        if self.labels is not None:
+            doc["labels"] = {name: list(lab) for name, lab in self.labels.items()}
+            doc["sensitive_labels"] = list(self.sensitive_labels)
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc):

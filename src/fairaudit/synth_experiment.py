@@ -299,7 +299,11 @@ def approach_spec(approach, conditioning=None, synthetic=True):
 
 
 def evaluate_approach(name, train_ds, test_ds, conditioning, seed, synthetic=True):
-    """Train one approach and measure the four table metrics on the test part."""
+    """Train one approach and measure the four table metrics on the test part.
+
+    ``test_ds`` must hold both classes (``run_experiment`` checks it once
+    per dataset): the ROC AUC is undefined otherwise.
+    """
     spec = approach_spec(name, conditioning, synthetic)
     model = train(train_ds, spec, seed=derive_seed(seed, f"train:{name}"))
     policy = fit_policy(train_ds, model)
@@ -309,8 +313,6 @@ def evaluate_approach(name, train_ds, test_ds, conditioning, seed, synthetic=Tru
     # post-processing emits decisions, not scores: rank on the final output
     basis = "scores" if policy is None else "decisions"
     auc = _auc_scores(test_ds.target, getattr(preds, basis))
-    if auc is None:
-        raise ValueError(f"{name}: the test split holds one class, so ROC AUC is undefined")
     flip = flip_assessment(test_ds, lambda d: predict(model, d, policy))
     dp = demographic_parity(test_ds, preds)
     ratio = 0.0 if dp.ratio is None else dp.ratio

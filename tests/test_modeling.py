@@ -407,6 +407,8 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         old, policy = load_model(path)
         assert old.encoder.labels is None
+        save_model(old, path, policy)  # and saved again without them
+        assert json.loads(path.read_text())["encoder"] == doc["encoder"]
         other = self.relabelled(ds)
         # the same codes under the training labels: a model without label
         # tables cannot tell the two apart
