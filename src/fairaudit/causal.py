@@ -4,29 +4,28 @@ the causality-based fairness gaps built on them.
 Supported structural forms are linear-with-additive-noise and
 threshold-of-linear (a linear-plus-noise expression compared against a
 cutoff), which cover the bundled synthetic models and keep counterfactual
-inference exact or cheaply simulable:
+inference exact:
 
 - abduction for linear nodes with additive noise inverts exactly
   (``u = x - g(parents)``);
 - threshold nodes with finite-support noise get an exact posterior by
   enumerating the noise values consistent with the observation;
 - threshold nodes with gaussian noise get a truncated-gaussian posterior
-  (the observation pins the halfline the noise fell in), sampled by
-  inverse CDF on the lower tail: a halfline above the noise mean is
-  mirrored below it, drawn there and negated, so a deep upper tail keeps
-  its precision instead of rounding to a CDF value of 1.
+  (the observation pins the halfline the noise fell in).
 
-Prediction propagates posterior draws through the intervened model;
-when every posterior is a point mass a single exact pass is used. The
-fairness gaps also take a single exact pass when the decision reads no
-node downstream of a non-point posterior (see ``_decision_probs``).
+So every node that abduction leaves uncertain is binary, and the
+counterfactual world is a mixture of 2**|R| branches over those nodes R,
+weighted by normal masses read on the lower tail (an interval above the
+noise mean is mirrored below it) to keep deep upper tails precise.
+``counterfactual`` and the gaps sum the branches exactly, whatever the
+decision reads; only past ``_EXACT_CAP`` random nodes do they take Monte
+Carlo with ``mc_budget`` draws, in blocks of ``_BLOCK_CELLS`` cells.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,9 +40,6 @@ POINT = "point"
 LINEAR = "linear"
 THRESHOLD = "threshold"
 EXOGENOUS = "exogenous"
-
-_UNIT_BLOCK = 4096  # units processed per abduction/propagation block
-
 
 class AbductionError(ValueError):
     """The observation has zero probability under the model."""
@@ -118,14 +114,6 @@ class NoiseSpec:
         if self.kind == BERNOULLI:
             return rng.binomial(1, self.p, size).astype(float)
         return np.full(size, self.value)
-
-    def finite_support(self):
-        """(values, probs) for finite-support noise, None for gaussian."""
-        if self.kind == BERNOULLI:
-            return np.array([0.0, 1.0]), np.array([1.0 - self.p, self.p])
-        if self.kind == POINT:
-            return np.array([self.value]), np.array([1.0])
-        return None
 
     def to_json_dict(self):
         if self.kind == GAUSSIAN:
@@ -368,6 +356,8 @@ def _is_discrete(scm, node):
 
 _TOL = 1e-9
 _Q_MIN = np.nextafter(0.0, 1.0)  # least positive double: ndtri(0) is -inf
+_EXACT_CAP = 12  # random nodes past which 2**|R| branches give way to Monte Carlo
+_BLOCK_CELLS = 1 << 16  # branches (or draws) x units per block and node array
 
 
 def _abduct(scm, obs):
@@ -385,7 +375,7 @@ def _abduct(scm, obs):
             u = x - a.linear_part(obs) if a.kind == LINEAR else x.copy()
             if nz.kind == BERNOULLI:
                 snapped = np.round(u)
-                bad = (np.abs(u - snapped) > _TOL) | ~np.isin(snapped, (0.0, 1.0))
+                bad = (np.abs(u - snapped) > _TOL) | ((snapped != 0) & (snapped != 1))
                 if bad.any():
                     raise AbductionError(
                         f"node {node!r}: observed value inconsistent with "
@@ -398,12 +388,12 @@ def _abduct(scm, obs):
                 )
             posteriors[node] = ("point", u)
         else:  # threshold
-            bad = ~np.isin(np.round(x), (0.0, 1.0)) | (np.abs(x - np.round(x)) > _TOL)
-            if bad.any():
+            r = np.round(x)
+            if (((r != 0) & (r != 1)) | (np.abs(x - r) > _TOL)).any():
                 raise AbductionError(f"node {node!r}: threshold node observed non-binary")
-            xb = np.round(x).astype(bool)
+            xb = r.astype(bool)
             g = a.linear_part(obs)
-            gb = np.broadcast_to(np.asarray(g, dtype=float), x.shape)
+            gb = np.full(x.shape, g, dtype=float)
             if nz.kind == GAUSSIAN:
                 edge = a.cutoff - gb
                 lo = np.where(xb, edge, -np.inf)
@@ -432,53 +422,151 @@ def _indicator(inner, a):
     return inner > a.cutoff if a.strict else inner >= a.cutoff
 
 
-def _point_mass(post):
-    """Whether a posterior pins the noise of every unit it covers.
+def _random_nodes(scm, posteriors, fixed):
+    """The nodes left uncertain by ``posteriors``, in topological order.
 
-    A ``bern01`` posterior with every p1 in {0, 1} does: ``_draw_posterior``
-    then draws u = p1 whatever the generator gives.
+    Each is binary: a threshold node with a truncated-gaussian posterior,
+    or a node whose bernoulli noise has p1 in (0, 1) for some unit. Nodes
+    in ``fixed`` are clamped and so not random.
     """
-    kind = post[0]
-    if kind == "point":
-        return True
-    return kind == "bern01" and not ((post[1] > 0) & (post[1] < 1)).any()
+    def uncertain(kind, p, *_):
+        return kind == "tnorm" or (kind == "bern01" and ((p > 0) & (p < 1)).any())
+
+    return [n for n in scm.dag.nodes if n not in fixed and uncertain(*posteriors[n])]
 
 
-def _draw_posterior(post, nz, draws, rng, node=None, start=0):
-    """Draw (draws, m) noise values from a block posterior.
-
-    A truncated gaussian is drawn by inverting the standard normal CDF on a
-    uniform between the CDF values at its ends. An interval whose
-    standardised lower end is above 0 is mirrored first: drawn on
-    (-hi, -lo) and negated, so the CDF values stay in the lower tail, where
-    they keep their precision instead of rounding to 1. An interval whose
-    mass underflows to 0 raises ``AbductionError`` naming ``node`` and the
-    unit (``start`` is the block's first unit).
-    """
-    kind = post[0]
-    if kind == "point":
-        u = post[1]
-        return np.broadcast_to(u, (draws, len(u))) if draws > 1 else u[None, :]
-    if kind == "bern01":
-        p1 = post[1]
-        return (rng.random((draws, len(p1))) < p1).astype(float)
-    _, lo, hi = post
-    zlo = (lo - nz.mean) / nz.std
-    zhi = (hi - nz.mean) / nz.std
+def _lower_cdfs(lo, hi, nz):
+    """(flip, fa, fb): the standardised CDF at the ends of (lo, hi), mirrored
+    to -hi and -lo where lo is above the mean (flip). fb - fa is the mass,
+    read on the lower tail so that it keeps its precision."""
+    zlo, zhi = (lo - nz.mean) / nz.std, (hi - nz.mean) / nz.std
     flip = zlo > 0
-    fa = ndtr(np.where(flip, -zhi, zlo))
-    fb = ndtr(np.where(flip, -zlo, zhi))
-    empty = ~(fb > fa)
+    return flip, ndtr(np.where(flip, -zhi, zlo)), ndtr(np.where(flip, -zlo, zhi))
+
+
+def _no_mass(empty, node, start):
     if empty.any():
         raise AbductionError(
             f"node {node!r}: truncated-gaussian posterior has no mass at unit "
             f"{start + int(np.flatnonzero(empty)[0])}"
         )
-    q = fa + rng.random((draws, len(lo))) * (fb - fa)
+
+
+def _draw_posterior(post, nz, draws, rng, node=None, start=0):
+    """Draw (draws, m) noise values from a block posterior.
+
+    A truncated gaussian is drawn by inverse CDF on the tail ``_lower_cdfs``
+    reads (mirrored draws are negated back), so draws stay inside their
+    interval however deep in the tail. A zero mass raises ``AbductionError``
+    naming ``node`` and the unit (``start`` is the block's first unit).
+    """
+    if post[0] == "point":
+        return np.broadcast_to(post[1], (draws, len(post[1])))
+    if post[0] == "bern01":
+        return (rng.random((draws, len(post[1]))) < post[1]).astype(float)
+    flip, fa, fb = _lower_cdfs(post[1], post[2], nz)
+    _no_mass(~(fb > fa), node, start)
+    q = fa + rng.random((draws, len(fa))) * (fb - fa)
     z = ndtri(np.clip(q, _Q_MIN, 1.0 - 1e-16))
     if flip.any():
         z = np.where(flip, -z, z)
     return nz.mean + nz.std * z
+
+
+def _bit(j, r):
+    """Random node ``j``'s value in each of 2**r branches: bit j of the branch."""
+    return ((np.arange(1 << r) >> j) & 1).astype(float)[:, None]
+
+
+def _branch_values(scm, posteriors, fixed, random, m):
+    """Every node's value in every branch of the counterfactual world.
+
+    Branch b sets random node j to bit j of b: a truncated-gaussian node
+    takes the bit as its value, a bernoulli one as its noise. Nodes that
+    depend on no random node have shape (1, m), the rest (2**len(random), m).
+    """
+    values = {}
+    for node in scm.dag.nodes:
+        post = posteriors[node]
+        if node in fixed:
+            values[node] = np.full((1, m), fixed[node], dtype=float)
+        elif node in random:
+            bit = _bit(random.index(node), len(random))
+            v = bit if post[0] == "tnorm" else scm.assignments[node].evaluate(values, bit)
+            values[node] = np.broadcast_to(v, (len(bit), m))
+        else:
+            values[node] = scm.assignments[node].evaluate(values, post[1][None, :])
+    return values
+
+
+def _branch_weights(scm, posteriors, values, random, m, start):
+    """Probability of every branch per unit, shape (2**len(random), m).
+
+    A bernoulli node's noise is 1 with probability p1; a truncated-gaussian
+    node is 1 with probability mass((t, hi)) / mass((lo, hi)), t being its
+    cutoff less its linear part in the branch, clipped to (lo, hi).
+    """
+    w = np.ones((1, m))
+    for j, node in enumerate(random):
+        post = posteriors[node]
+        if post[0] == "tnorm":
+            a, nz, (_, lo, hi) = scm.assignments[node], scm.noises[node], post
+            _, fa, fb = _lower_cdfs(lo, hi, nz)
+            _no_mass(~(fb > fa), node, start)
+            _, ta, tb = _lower_cdfs(np.clip(a.cutoff - a.linear_part(values), lo, hi), hi, nz)
+            p1 = (tb - ta) / (fb - fa)
+        else:
+            p1 = post[1]
+        w = w * np.where(_bit(j, len(random)), p1, 1.0 - p1)
+    return w
+
+
+def _branch_sum(x):
+    """Sum of the 2**k rows of ``x``, by halving rather than ``sum``, so each
+    unit's sum is formed in one order whatever the number of units."""
+    while len(x) > 1:
+        x = x[: len(x) // 2] + x[len(x) // 2 :]
+    return x[0]
+
+
+def _block(posteriors, sl):
+    return {node: (p[0],) + tuple(a[sl] for a in p[1:]) for node, p in posteriors.items()}
+
+
+def _past_cap(scm, posteriors, interventions, mediators):
+    """Whether some intervention leaves more than ``_EXACT_CAP`` random nodes."""
+    fixed = [{*do, *mediators} for do in interventions]
+    return max(len(_random_nodes(scm, posteriors, f)) for f in fixed) > _EXACT_CAP
+
+
+def _mixture_means(scm, fns, obs, posteriors, interventions, mediators):
+    """Exact means per unit of each of ``fns`` under each intervention.
+
+    Each fn is called once per intervention and block of at most
+    ``_BLOCK_CELLS`` branches x units, on the ``_branch_values`` arrays.
+    One row returned is the mean as it stands, so a fn that reads no random
+    node costs no weights; 2**|R| rows are summed with the branch weights.
+    """
+    n = len(next(iter(obs.values())))
+    means = [[np.empty(n) for _ in fns] for _ in interventions]
+    for do, row in zip(interventions, means):
+        random = _random_nodes(scm, posteriors, {*do, *mediators})
+        step = max(1, _BLOCK_CELLS >> len(random))
+        for start in range(0, n, step):
+            sl = slice(start, min(start + step, n))
+            m = sl.stop - start
+            block = posteriors if m == n else _block(posteriors, sl)
+            fixed = {**do, **{med: obs[med][sl] for med in mediators}}
+            values = _branch_values(scm, block, fixed, random, m)
+            w = None
+            for out, fn in zip(row, fns):
+                x = np.asarray(fn(values), dtype=float)
+                if x.ndim == 2 and len(x) > 1:
+                    if w is None:
+                        w = _branch_weights(scm, block, values, random, m, start)
+                    x = _branch_sum(x * w)
+                out[sl] = x[0] if x.ndim == 2 else x
+    return means
 
 
 def _propagate(scm, noise, fixed):
@@ -491,6 +579,41 @@ def _propagate(scm, noise, fixed):
         else:
             values[node] = scm.assignments[node].evaluate(values, noise[node])
     return values
+
+
+def _mc_means(scm, fns, obs, posteriors, interventions, mediators, mc_budget, seed):
+    """Monte Carlo means per unit of each of ``fns`` under each intervention:
+    the fallback past ``_EXACT_CAP`` random nodes.
+
+    Draws are shared across interventions and taken in blocks of at most
+    ``_BLOCK_CELLS`` draws x units, so memory does not grow with
+    ``mc_budget``. One generator feeds the blocks in order, so the values
+    depend on the block sizes.
+    """
+    n = len(next(iter(obs.values())))
+    draws = int(mc_budget)
+    if draws < 1:
+        raise ValueError("mc_budget must be at least 1")
+    chunk = min(draws, _BLOCK_CELLS)
+    step = max(1, _BLOCK_CELLS // chunk)
+    sums = [[np.zeros(n) for _ in fns] for _ in interventions]
+    rng = np.random.default_rng(seed)
+    for start in range(0, n, step):
+        sl = slice(start, min(start + step, n))
+        block = _block(posteriors, sl)
+        held = {med: obs[med][sl] for med in mediators}
+        for done in range(0, draws, chunk):
+            d = min(chunk, draws - done)
+            noise = {
+                node: _draw_posterior(block[node], scm.noises[node], d, rng, node, start)
+                for node in scm.dag.nodes
+            }
+            for k, do in enumerate(interventions):
+                values = _propagate(scm, noise, {**do, **held})
+                for s, fn in zip(sums[k], fns):
+                    x = np.asarray(fn(values), dtype=float)
+                    s[sl] += np.broadcast_to(x, (d, sl.stop - start)).sum(axis=0)
+    return [[s / draws for s in row] for row in sums]
 
 
 @dataclass(frozen=True)
@@ -518,48 +641,44 @@ class CounterfactualQuery:
 
 @dataclass(frozen=True)
 class CounterfactualResult:
-    """Per-node counterfactual summary: means, optionally full samples."""
+    """Per-node counterfactual means; Monte Carlo results carry draws and stderr."""
 
     means: dict
     exact: bool
     draws: int
     stderr: dict | None = None
-    samples: dict | None = None
 
 
-def counterfactual(scm, query, mc_budget=10000, seed=0, return_samples=False):
+def counterfactual(scm, query, mc_budget=10000, seed=0):
     """Three-step counterfactual for one unit.
 
     Abduction conditions the noise on the observation, action applies the
     intervention (and clamps held mediators at factual values), prediction
-    propagates the noise posterior through the modified model. Exact (one
-    deterministic pass) when every posterior is a point mass, Monte Carlo
-    with ``mc_budget`` draws otherwise.
+    propagates the noise posterior through the modified model. Prediction
+    is exact: the world is a mixture of the branches of the random nodes
+    (see ``_mixture_means``), and each mean is a weighted sum over them.
+    Past ``_EXACT_CAP`` random nodes it is Monte Carlo with ``mc_budget``
+    draws, and the result says so (``exact`` false, a stderr per node).
     """
     missing = [n for n in scm.dag.nodes if n not in query.observed]
     if missing:
-        raise ValueError(
-            f"partial observation unsupported; missing nodes: {missing}"
-        )
+        raise ValueError(f"partial observation unsupported; missing nodes: {missing}")
     obs = {k: np.array([float(v)]) for k, v in query.observed.items()}
     posteriors = _abduct(scm, obs)
-    exact = all(_point_mass(p) for p in posteriors.values())
-    draws = 1 if exact else int(mc_budget)
-    rng = np.random.default_rng(seed)
-    noise = {
-        node: _draw_posterior(posteriors[node], scm.noises[node], draws, rng, node)
-        for node in scm.dag.nodes
+    nodes, do, held = scm.dag.nodes, [query.intervention], query.mediators_held
+    reads = [lambda v, k=k: v[k] for k in nodes]
+    if not _past_cap(scm, posteriors, do, held):
+        (means,) = _mixture_means(scm, reads, obs, posteriors, do, held)
+        return CounterfactualResult({k: float(x[0]) for k, x in zip(nodes, means)}, True, 1)
+    squares = [lambda v, k=k: v[k] ** 2 for k in nodes]
+    (moments,) = _mc_means(scm, reads + squares, obs, posteriors, do, held, mc_budget, seed)
+    means = {k: float(x[0]) for k, x in zip(nodes, moments)}
+    draws = int(mc_budget)
+    stderr = None if draws == 1 else {
+        k: math.sqrt(max(float(x2[0]) - means[k] ** 2, 0.0) / (draws - 1))
+        for k, x2 in zip(nodes, moments[len(nodes):])
     }
-    fixed = dict(query.intervention)
-    for m in query.mediators_held:
-        fixed[m] = obs[m]
-    values = _propagate(scm, noise, fixed)
-    means = {n: float(v.mean()) for n, v in values.items()}
-    stderr = None
-    if not exact and draws > 1:
-        stderr = {n: float(v.std(ddof=1) / math.sqrt(draws)) for n, v in values.items()}
-    samples = {n: v[:, 0].copy() for n, v in values.items()} if return_samples else None
-    return CounterfactualResult(means, exact, draws, stderr, samples)
+    return CounterfactualResult(means, False, draws, stderr)
 
 
 def _observations_from_dataset(scm, ds):
@@ -573,114 +692,42 @@ def _observations_from_dataset(scm, ds):
     return {n: cols[n] for n in scm.dag.nodes}
 
 
-class _ExactValues(Mapping):
-    """Read-only node values of the exact pass.
-
-    Nodes downstream of a non-point posterior have no value here: looking
-    one up (by ``[]``, ``get``, ``in``, ``items`` or ``values``) records the
-    read and raises ``KeyError``.
-    """
-
-    def __init__(self, nodes, values):
-        self._nodes = nodes
-        self._values = values
-        self.read_random = False
-
-    def __getitem__(self, node):
-        if node in self._values:
-            return self._values[node]
-        if node in self._nodes:
-            self.read_random = True
-        raise KeyError(node)
-
-    def __iter__(self):
-        return iter(self._nodes)
-
-    def __len__(self):
-        return len(self._nodes)
-
-
-def _exact_values(scm, posteriors, fixed, n):
-    """Values, shape (1, n), of every node that is a point mass per unit.
-
-    Clamped nodes take their clamped value; any other node is left out when
-    its posterior is not a point mass or one of its parents is left out.
-    """
-    values = {}
-    for node in scm.dag.nodes:
-        if node in fixed:
-            values[node] = np.broadcast_to(np.asarray(fixed[node], dtype=float), (1, n))
-        elif _point_mass(posteriors[node]) and all(
-            p in values for p in scm.dag.parents(node)
-        ):
-            u = posteriors[node][1][None, :]
-            values[node] = scm.assignments[node].evaluate(values, u)
-    return values
-
-
 def _decision_probs(scm, decision_fn, obs, interventions, mediators, mc_budget, seed):
-    """P(decision = 1 | unit) under each intervention, sharing posterior draws.
+    """P(decision = 1 | unit) under each intervention, exactly.
 
     Returns one array per intervention, aligned to the units in ``obs``.
-    A single exact pass is used when the decision reads no node downstream
-    of a non-point posterior: the decision is called once per intervention
-    on arrays of shape (1, n), through a mapping that refuses those nodes,
-    so the nodes it reads need not be declared. A decision that reads one
-    gets Monte Carlo over all nodes instead (``_mc_decision_probs``).
+    After abduction every uncertain node is binary (``_random_nodes``), so
+    the counterfactual world is a mixture of 2**|R| branches, summed
+    exactly by ``_mixture_means``: a decision that reads no random node is
+    called on (1, m) arrays and costs no weights. Past ``_EXACT_CAP``
+    random nodes the decision gets Monte Carlo with ``mc_budget`` draws.
     """
-    n = len(next(iter(obs.values())))
     posteriors = _abduct(scm, obs)
-    held = {med: obs[med] for med in mediators}
-    outs = []
-    for do in interventions:
-        view = _ExactValues(scm.dag.nodes, _exact_values(scm, posteriors, {**do, **held}, n))
-        try:
-            dec = decision_fn(view)
-        except Exception:
-            if not view.read_random:
-                raise
-        if view.read_random:
-            return _mc_decision_probs(
-                scm, decision_fn, obs, posteriors, interventions, mediators, mc_budget, seed
-            )
-        outs.append(np.broadcast_to(np.asarray(dec, dtype=float), (1, n)).mean(axis=0))
-    return outs
-
-
-def _mc_decision_probs(
-    scm, decision_fn, obs, posteriors, interventions, mediators, mc_budget, seed
-):
-    """Monte Carlo form of ``_decision_probs`` over abducted ``posteriors``.
-
-    Blocks over units to bound memory; a block whose posteriors are all
-    point masses takes one draw. The block size is fixed, so results are
-    deterministic for a given seed.
-    """
-    n = len(next(iter(obs.values())))
-    outs = [np.empty(n) for _ in interventions]
-    rng = np.random.default_rng(seed)
-    for start in range(0, n, _UNIT_BLOCK):
-        sl = slice(start, min(start + _UNIT_BLOCK, n))
-        block = {node: (p[0],) + tuple(a[sl] for a in p[1:]) for node, p in posteriors.items()}
-        draws = 1 if all(_point_mass(p) for p in block.values()) else int(mc_budget)
-        noise = {
-            node: _draw_posterior(block[node], scm.noises[node], draws, rng, node, start)
-            for node in scm.dag.nodes
-        }
-        held = {med: obs[med][sl] for med in mediators}
-        m = sl.stop - sl.start
-        for k, do in enumerate(interventions):
-            values = _propagate(scm, noise, {**do, **held})
-            dec = np.asarray(decision_fn(values), dtype=float)
-            dec = np.broadcast_to(dec, (draws, m))  # tolerate constant decisions
-            outs[k][sl] = dec.mean(axis=0)
-    return outs
+    args = (scm, [decision_fn], obs, posteriors, interventions, mediators)
+    if _past_cap(scm, posteriors, interventions, mediators):
+        return [row[0] for row in _mc_means(*args, mc_budget, seed)]
+    return [row[0] for row in _mixture_means(*args)]
 
 
 def _sensitive_or_error(scm):
     if scm.sensitive is None:
         raise ValueError("this fairness gap needs a designated sensitive node")
     return scm.sensitive
+
+
+def _flip_probs(scm, decision_fn, ds, a, b, mediators, mc_budget, seed):
+    """P(decision = 1) of every unit with sensitive value ``a``, flipped to
+    ``a`` and to ``b``, with ``mediators`` held (see ``_decision_probs``)."""
+    sens = _sensitive_or_error(scm)
+    if sens in mediators:
+        raise ValueError("the sensitive node cannot be a held mediator")
+    obs = _observations_from_dataset(scm, ds)
+    mask = np.abs(obs[sens] - float(a)) <= _TOL
+    if not mask.any():
+        raise ValueError(f"no units with sensitive value {a!r}")
+    unit_obs = {k: v[mask] for k, v in obs.items()}
+    flips = [{sens: float(a)}, {sens: float(b)}]
+    return _decision_probs(scm, decision_fn, unit_obs, flips, mediators, mc_budget, seed)
 
 
 def pcff_gap(
@@ -696,24 +743,8 @@ def pcff_gap(
     mediator set this is the plain counterfactual fairness gap; with all
     descendants of the sensitive node held it audits only the direct path.
     """
-    sens = _sensitive_or_error(scm)
-    fair_mediators = frozenset(fair_mediators)
-    if sens in fair_mediators:
-        raise ValueError("the sensitive node cannot be a held mediator")
-    obs = _observations_from_dataset(scm, ds)
-    mask = np.abs(obs[sens] - float(a)) <= _TOL
-    if not mask.any():
-        raise ValueError(f"no units with sensitive value {a!r}")
-    unit_obs = {k: v[mask] for k, v in obs.items()}
-    p_a, p_b = _decision_probs(
-        scm,
-        decision_fn,
-        unit_obs,
-        [{sens: float(a)}, {sens: float(b)}],
-        fair_mediators,
-        mc_budget,
-        seed,
-    )
+    mediators = frozenset(fair_mediators)
+    p_a, p_b = _flip_probs(scm, decision_fn, ds, a, b, mediators, mc_budget, seed)
     per_unit = np.abs(p_a - p_b)
     gap = float(per_unit.mean())
     return (gap, per_unit) if return_per_unit else gap
@@ -728,38 +759,14 @@ def cff_gap(scm, decision_fn, ds, a, b, mc_budget=10000, seed=0, return_per_unit
 
 def dcff_gap(scm, decision_fn, ds, a, b, mc_budget=10000, seed=0, return_per_unit=False):
     """Direct-path-only gap: every descendant of the sensitive node is held."""
-    sens = _sensitive_or_error(scm)
-    return pcff_gap(
-        scm,
-        decision_fn,
-        ds,
-        a,
-        b,
-        frozenset(scm.descendants(sens)),
-        mc_budget,
-        seed,
-        return_per_unit,
-    )
+    held = frozenset(scm.descendants(_sensitive_or_error(scm)))
+    return pcff_gap(scm, decision_fn, ds, a, b, held, mc_budget, seed, return_per_unit)
 
 
 def ecff_gap(scm, decision_fn, ds, a, b, mc_budget=10000, seed=0):
     """Expectation variant: difference of average acceptance, not average of
     per-unit differences — opposite-signed individual gaps may cancel."""
-    sens = _sensitive_or_error(scm)
-    obs = _observations_from_dataset(scm, ds)
-    mask = np.abs(obs[sens] - float(a)) <= _TOL
-    if not mask.any():
-        raise ValueError(f"no units with sensitive value {a!r}")
-    unit_obs = {k: v[mask] for k, v in obs.items()}
-    p_a, p_b = _decision_probs(
-        scm,
-        decision_fn,
-        unit_obs,
-        [{sens: float(a)}, {sens: float(b)}],
-        frozenset(),
-        mc_budget,
-        seed,
-    )
+    p_a, p_b = _flip_probs(scm, decision_fn, ds, a, b, frozenset(), mc_budget, seed)
     return float(abs(p_a.mean() - p_b.mean()))
 
 
@@ -789,41 +796,32 @@ def conditional_intervention_gap(scm, decision_fn, condition, a, b):
     from the model without further assumptions.
     """
     sens = _sensitive_or_error(scm)
-    supports = {}
-    for node in scm.dag.nodes:
-        fs = scm.noises[node].finite_support()
-        if fs is None:
+    prior = {}
+    for node, nz in scm.noises.items():
+        if nz.kind == GAUSSIAN:
             raise ValueError(
                 f"node {node!r} has continuous noise; the conditional "
                 "intervention gap is only computable under finite-support noise"
             )
-        supports[node] = fs
-    weights = np.array([1.0])
-    noise_cols = {}
-    for node in scm.dag.nodes:
-        vals, probs = supports[node]
-        k = len(vals)
-        m = len(weights)
-        for other in noise_cols:
-            noise_cols[other] = np.repeat(noise_cols[other], k)
-        noise_cols[node] = np.tile(vals, m)
-        weights = np.repeat(weights, k) * np.tile(probs, m)
+        # the prior in the form of an abducted posterior, so that the
+        # bernoulli noises are enumerated as the branches of the mixture
+        prior[node] = ("bern01", np.array([nz.p])) if nz.kind == BERNOULLI else (
+            "point", np.array([nz.value]))
     probs_out = []
     for v in (a, b):
-        values = _propagate(
-            scm, {n: c[None, :] for n, c in noise_cols.items()}, {sens: float(v)}
-        )
+        fixed = {sens: float(v)}
+        random = _random_nodes(scm, prior, fixed)
+        values = _branch_values(scm, prior, fixed, random, 1)
+        weights = _branch_weights(scm, prior, values, random, 1, 0)[:, 0]
         match = np.ones(len(weights), dtype=bool)
         for node, want in condition.items():
-            match &= np.abs(values[node][0] - float(want)) <= _TOL
+            match &= np.abs(values[node][:, 0] - float(want)) <= _TOL
         denom = float(weights[match].sum())
         if denom == 0.0:
             raise ValueError(
                 f"condition {condition} has zero probability under do({sens}={v})"
             )
-        dec = np.asarray(
-            decision_fn({n: val[:, match] for n, val in values.items()}), dtype=float
-        )
-        dec = np.broadcast_to(dec, (1, int(match.sum()))).ravel()
+        dec = decision_fn({n: x[match] if len(x) > 1 else x for n, x in values.items()})
+        dec = np.broadcast_to(np.asarray(dec, dtype=float), (int(match.sum()), 1))[:, 0]
         probs_out.append(float((dec * weights[match]).sum() / denom))
     return abs(probs_out[0] - probs_out[1])

@@ -508,7 +508,11 @@ def build_parser():
     p.add_argument("--unit", required=True, help="observed unit, node=value pairs")
     p.add_argument("--do", required=True, help="intervention, node=value pairs")
     p.add_argument("--hold", default=None, help="mediators held at factual values")
-    p.add_argument("--budget", type=int, default=10000)
+    p.add_argument(
+        "--budget", type=int, default=10000,
+        help=f"Monte Carlo draws, used only past {causal._EXACT_CAP} uncertain nodes; "
+        "below that the answer is exact",
+    )
     p.set_defaults(func=cmd_counterfactual)
 
     p = sub.add_parser("experiment", parents=[common], help="full mitigation comparison")

@@ -1,4 +1,6 @@
+import tracemalloc
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from fairaudit import causal
 from fairaudit.causal import (
     _TOL,
-    _UNIT_BLOCK,
+    _BLOCK_CELLS,
     BERNOULLI,
     EXOGENOUS,
     GAUSSIAN,
@@ -401,7 +403,8 @@ class TestAbductionPosteriors:
             mc_budget=100000,
             seed=1,
         )
-        assert out.means["Z"] == pytest.approx(want, abs=4 * out.stderr["Z"] + 1e-9)
+        assert out.exact and out.draws == 1 and out.stderr is None
+        assert out.means["Z"] == pytest.approx(want, abs=1e-12)
         # observed Z=1 pins U > edge; a negative shift loses the band
         delta = -0.6
         want = (1.0 - norm.cdf((edge - delta - m) / s)) / (1.0 - norm.cdf((edge - m) / s))
@@ -411,7 +414,7 @@ class TestAbductionPosteriors:
             mc_budget=100000,
             seed=2,
         )
-        assert out.means["Z"] == pytest.approx(want, abs=4 * out.stderr["Z"] + 1e-9)
+        assert out.means["Z"] == pytest.approx(want, abs=1e-12)
         # and a positive shift keeps every accepted unit accepted, exactly
         out = counterfactual(
             scm,
@@ -521,7 +524,10 @@ class TestSerialization:
 
 # The blocked Monte Carlo ``_decision_probs`` and the ``_abduct_block`` it
 # calls, from before the exact single pass, kept verbatim as bit-exact
-# references (only the reference's name differs).
+# references (only the reference's name differs), with the block size they
+# were written for.
+
+_UNIT_BLOCK = 4096
 
 
 def _abduct_block(scm, obs):
@@ -636,7 +642,80 @@ def _rule(nodes, weights, cutoff, mode):
         total = sum(w * vals[k] for k, w in zip(nodes, weights))
         return np.asarray(total > cutoff, dtype=float)
 
+    decide.nodes = tuple(nodes)
     return decide
+
+
+def _uncertain(scm, obs, do, mediators):
+    """Nodes whose counterfactual value is uncertain for some unit: those
+    with a non-point posterior or an uncertain parent, unless clamped."""
+    posts, _ = _abduct_block(scm, obs)
+    fixed, out = set(do) | set(mediators), set()
+    for node in scm.nodes:
+        kind, p = posts[node][0], posts[node][1]
+        random = kind == "tnorm" or (kind == "bern01" and ((p > 0) & (p < 1)).any())
+        if node not in fixed and (random or out & set(scm.dag.parents(node))):
+            out.add(node)
+    return out
+
+
+def _quadrature_probs(scm, decision_fn, obs, do, mediators, cells=1000):
+    """P(decision = 1 | unit) by brute force, and its error allowance.
+
+    Every posterior's support is enumerated jointly: a bernoulli one by its
+    two values, a truncated gaussian by equal-mass cells, each represented
+    by its median (``scipy.stats.truncnorm``), about ``cells`` combinations
+    per unit in all. A threshold node is monotone in its own noise, so
+    across one node's cells the decision changes in at most one: the
+    allowance is the mass of one cell per gaussian node.
+    """
+    from scipy.stats import truncnorm
+
+    n, step = len(obs[scm.nodes[0]]), max(1, 250000 // cells)
+    if n > step:  # a quarter million combinations at a time
+        parts = [
+            _quadrature_probs(scm, decision_fn, {k: v[i : i + step] for k, v in obs.items()},
+                              do, mediators, cells)
+            for i in range(0, n, step)
+        ]
+        return np.concatenate([p for p, _ in parts]), parts[0][1]
+    posts, _ = _abduct_block(scm, obs)
+    fixed = set(do) | set(mediators)
+    free = [v for v in scm.nodes if v not in fixed and posts[v][0] != "point"]
+    gauss = [v for v in free if posts[v][0] == "tnorm"]
+    k = max(1, int((cells / 2 ** (len(free) - len(gauss))) ** (1 / max(1, len(gauss)))))
+    noise, weights = {}, np.ones((1, n))
+    for node in scm.nodes:
+        post, nz = posts[node], scm.noises[node]
+        if node not in free:
+            noise[node] = np.broadcast_to(post[1], (len(weights), n))
+            continue
+        if post[0] == "bern01":
+            u = np.array([[0.0], [1.0]]).repeat(n, axis=1)
+            p = np.stack([1.0 - post[1], post[1]])
+        else:
+            a, b = (post[1] - nz.mean) / nz.std, (post[2] - nz.mean) / nz.std
+            q = (np.arange(k)[:, None] + 0.5) / k
+            u = truncnorm.ppf(q, a, b, loc=nz.mean, scale=nz.std)
+            p = np.full((k, n), 1.0 / k)
+        g, m = len(u), len(weights)
+        noise = {v: np.repeat(x, g, axis=0) for v, x in noise.items()}
+        noise[node] = np.tile(u, (m, 1))
+        weights = np.repeat(weights, g, axis=0) * np.tile(p, (m, 1))
+    clamp = {**do, **{med: obs[med] for med in mediators}}
+    values = _propagate(scm, noise, clamp)
+    dec = np.broadcast_to(np.asarray(decision_fn(values), dtype=float), weights.shape)
+    return (dec * weights).sum(axis=0), len(gauss) / k
+
+
+def _assert_exact(scm, decision_fn, obs, do, mediators, got, seed, cells=1000, draws=2000):
+    """``got`` is within the quadrature allowance of brute-force enumeration,
+    and within 6 stderr of the verbatim Monte Carlo at ``draws`` draws."""
+    want, allow = _quadrature_probs(scm, decision_fn, obs, do, mediators, cells)
+    assert np.abs(got - want).max() <= allow + 1e-12
+    (mc,) = _reference_decision_probs(scm, decision_fn, obs, [do], mediators, draws, seed)
+    stderr = np.maximum(np.sqrt(got * (1.0 - got) / draws), 1.0 / draws)
+    assert (np.abs(mc - got) <= 6 * stderr).all()
 
 
 @st.composite
@@ -709,14 +788,24 @@ class TestExactPassAgainstMonteCarlo:
     @settings(max_examples=300, deadline=None)
     @given(decision_problems())
     def test_bit_identical_to_blocked_monte_carlo(self, problem):
-        assert _same(causal._decision_probs(*problem), _reference_decision_probs(*problem))
+        # bit-identical wherever the decision reads no uncertain node; where
+        # it reads one, exact against enumeration and the Monte Carlo
+        scm, decision, obs, interventions, mediators, _, seed = problem
+        probs = causal._decision_probs(*problem)
+        ref = _reference_decision_probs(*problem)
+        for p, r, do in zip(probs, ref, interventions):
+            if _uncertain(scm, obs, do, mediators) & set(decision.nodes):
+                _assert_exact(scm, decision, obs, do, mediators, p, seed)
+            else:
+                assert np.array_equal(p, r)
 
     @pytest.mark.parametrize("reads", [("X1",), ("X1", "X3")])
     @pytest.mark.parametrize("mc_budget", [1, 4])
-    def test_blocks_with_their_own_exact_flag(self, reads, mc_budget):
+    def test_blocks_with_their_own_exact_flag(self, reads, mc_budget, monkeypatch):
         # A -> X1 (gaussian), A -> X3 = 1[A + U >= 1] (bernoulli): with the
-        # A=0 units first, the first block's posteriors are all point masses
-        # (one draw) and the later blocks' are not (mc_budget draws)
+        # A=0 units first, the first blocks' posteriors are all point masses
+        # and the later blocks leave X3 a fair coin under do(A=0); blocks of
+        # 256 units (X3 random) split them, and no block samples
         dag = Dag(("A", "X1", "X3"), (("A", "X1"), ("A", "X3")))
         scm = Scm(
             dag,
@@ -732,29 +821,55 @@ class TestExactPassAgainstMonteCarlo:
             },
             sensitive="A",
         )
-        obs, _ = simulate(scm, 2 * _UNIT_BLOCK + 700, seed=41)
+        obs, _ = simulate(scm, 2 * 512 + 700, seed=41)
         order = np.argsort(obs["A"], kind="stable")
         obs = {k: v[order] for k, v in obs.items()}
-        assert obs["A"][_UNIT_BLOCK - 1] == 0.0 and obs["A"][-1] == 1.0
+        assert obs["A"][511] == 0.0 and obs["A"][-1] == 1.0
+        monkeypatch.setattr(causal, "_BLOCK_CELLS", 512)
         problem = (scm, _rule(reads, (1.0, 0.5), 0.8, "getitem"), obs,
                    [{"A": 0.0}, {"A": 1.0}], frozenset(), mc_budget, 3)
-        assert _same(causal._decision_probs(*problem), _reference_decision_probs(*problem))
+        probs = causal._decision_probs(*problem)
+        if reads == ("X1",):
+            assert _same(probs, _reference_decision_probs(*problem))
+            return
+        for p, do in zip(probs, problem[3]):
+            want, allow = _quadrature_probs(scm, problem[1], obs, do, frozenset())
+            assert allow == 0 and np.abs(p - want).max() <= 1e-12
+        assert ((probs[0] > 0) & (probs[0] < 1)).any()  # really a mixture
 
-    def test_several_monte_carlo_blocks(self):
+    def test_several_monte_carlo_blocks(self, monkeypatch):
+        # exact in blocks of 512 units, against the reference's own blocks
         scm = build_synth_scm(SynthConfig(target="high"))
         obs = causal._observations_from_dataset(scm, sample(scm, _UNIT_BLOCK + 700, seed=42))
-        problem = (scm, _rule(("X1", "Y"), (1.0, 0.5), 0.8, "get"), obs,
-                   [{"A": 0.0}, {"A": 1.0}], frozenset({"X3"}), 4, 3)
-        assert _same(causal._decision_probs(*problem), _reference_decision_probs(*problem))
+        fn = _rule(("X1", "Y"), (1.0, 0.5), 0.8, "get")
+        problem = (scm, fn, obs, [{"A": 0.0}, {"A": 1.0}], frozenset({"X3"}), 4, 3)
+        whole = causal._decision_probs(*problem)
+        monkeypatch.setattr(causal, "_BLOCK_CELLS", 1024)
+        probs = causal._decision_probs(*problem)
+        assert _same(probs, whole)
+        every = {k: v[::12] for k, v in obs.items()}  # units are independent
+        for p, do in zip(probs, problem[3]):
+            _assert_exact(scm, fn, every, do, frozenset({"X3"}), p[::12], 3, cells=4000)
 
-    def test_decision_reading_y_stays_on_monte_carlo(self):
+    def test_decision_reading_y_is_exact(self):
         scm, ds = synth_units(n=200, seed=31)
         obs = causal._observations_from_dataset(scm, ds)
-        fn = lambda v: ((v["Y"] + v["X1"]) > 1.0).astype(float)
+        shapes = []
+
+        def fn(v):
+            shapes.append((v["Y"].shape, v["X1"].shape))
+            return ((v["Y"] + v["X1"]) > 1.0).astype(float)
+
         problem = (scm, fn, obs, [{"A": 0.0}, {"A": 1.0}], frozenset({"X3"}), 64, 5)
         probs = causal._decision_probs(*problem)
-        assert _same(probs, _reference_decision_probs(*problem))
-        assert any(((p > 0) & (p < 1)).any() for p in probs)  # really sampled
+        assert shapes == [((2, 200), (1, 200))] * 2  # one call, Y's two branches
+        for p, do in zip(probs, problem[3]):
+            _assert_exact(scm, lambda v: ((v["Y"] + v["X1"]) > 1.0).astype(float),
+                          obs, do, frozenset({"X3"}), p, 5, cells=5000)
+        assert any(((p > 0) & (p < 1)).any() for p in probs)  # really a mixture
+        # the budget does not matter below the cap
+        cheap = causal._decision_probs(scm, fn, obs, problem[3], frozenset({"X3"}), 1, 0)
+        assert _same(probs, cheap)
 
     def test_point_mass_decision_called_once_per_intervention(self):
         scm, ds = synth_units(n=300, seed=32)
@@ -917,6 +1032,19 @@ class TestTruncatedGaussianTails:
         assert len(np.unique(out)) == 10000
         assert (out >= lo).all()
 
+    @pytest.mark.parametrize("k", [7.5, 8.5, 20.0, 37.0])
+    def test_deep_upper_tail_weights_are_resolved(self, k):
+        # observed Z=1 pins U above a cutoff k sd up; moving X down by 0.1 sd
+        # keeps Z=1 with probability sf(k + 0.1) / sf(k), read from logs
+        from scipy.stats import norm
+
+        scm = TestAbductionPosteriors().threshold_scm(cutoff=0.5, m=0.0, s=0.5)
+        x0 = 0.5 - 0.5 * k
+        query = CounterfactualQuery({"X": x0, "Z": 1.0}, {"X": x0 - 0.05})
+        want = np.exp(norm.logsf(k + 0.1) - norm.logsf(k))
+        out = counterfactual(scm, query)
+        assert out.exact and out.means["Z"] == pytest.approx(want, rel=1e-9)
+
     def test_underflowing_mass_names_node_and_unit(self):
         nz = NoiseSpec.gaussian(0.0, 0.5)
         lo = np.array([-np.inf, -np.inf, -np.inf])
@@ -935,7 +1063,171 @@ class TestTruncatedGaussianTails:
         scm = bundled_scm("high")
         obs, _ = simulate(scm, 10, seed=3)
         obs["X2"][6], obs["Y"][6] = -40.0, 1.0
-        monkeypatch.setattr(causal, "_UNIT_BLOCK", 4)
-        fn = lambda v: v["Y"] > 0.5  # reads Y: Monte Carlo, in blocks of 4
+        monkeypatch.setattr(causal, "_EXACT_CAP", 0)
+        monkeypatch.setattr(causal, "_BLOCK_CELLS", 32)
+        fn = lambda v: v["Y"] > 0.5  # Monte Carlo past the cap, in blocks of 4 units
         with pytest.raises(AbductionError, match="node 'Y': .* at unit 6$"):
             causal._decision_probs(scm, fn, obs, [{"A": 0.0}], frozenset(), 8, 0)
+
+    def test_exact_blocks_name_the_unit(self, monkeypatch):
+        scm = bundled_scm("high")
+        obs, _ = simulate(scm, 10, seed=3)
+        obs["X2"][6], obs["Y"][6] = -40.0, 1.0
+        monkeypatch.setattr(causal, "_BLOCK_CELLS", 8)
+        fn = lambda v: v["Y"] > 0.5  # reads Y: its weights, in blocks of 2 or 4 units
+        with pytest.raises(AbductionError, match="node 'Y': .* at unit 6$"):
+            causal._decision_probs(scm, fn, obs, [{"A": 0.0}], frozenset(), 8, 0)
+
+
+def _units(ds, order):
+    """``ds`` with its rows in ``order``."""
+    cols = tuple(replace(c, values=c.values[order]) for c in ds.features)
+    sens = replace(ds.sensitive, values=ds.sensitive.values[order])
+    return replace(ds, features=cols, sensitive=sens, target=ds.target[order])
+
+
+def cap_rule(v):
+    ts = [v[k] for k in v if k.startswith("T")]
+    return (sum(ts) >= len(ts) / 2).astype(float)
+
+
+def cap_scm(k=13):
+    """A -> X -> T1..Tk: k gaussian threshold nodes, all random once observed."""
+    names = ("A", "X") + tuple(f"T{i}" for i in range(1, k + 1))
+    edges = (("A", "X"),) + tuple(("X", t) for t in names[2:])
+    assignments = {"A": Assignment(EXOGENOUS), "X": Assignment(LINEAR, coeffs={"A": 1.0})}
+    noises = {"A": NoiseSpec.bernoulli(0.5), "X": NoiseSpec.gaussian(0.0, 1.0)}
+    for i, t in enumerate(names[2:]):
+        assignments[t] = Assignment(THRESHOLD, coeffs={"X": 1.0}, cutoff=0.1 * i - 0.6)
+        noises[t] = NoiseSpec.gaussian(0.0, 1.0)
+    return Scm(Dag(names, edges), assignments, noises, sensitive="A")
+
+
+class TestInvariance:
+    @settings(max_examples=150, deadline=None)
+    @given(decision_problems(), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 8, 64]))
+    def test_unit_probabilities_ignore_order_and_blocks(self, problem, perm_seed, cells):
+        scm, decision, obs, interventions, mediators, mc_budget, seed = problem
+        probs = causal._decision_probs(*problem)
+        order = np.random.default_rng(perm_seed).permutation(len(obs[scm.nodes[0]]))
+        shuffled = {k: v[order] for k, v in obs.items()}
+        with patch.object(causal, "_BLOCK_CELLS", cells):
+            blocked = causal._decision_probs(*problem)
+            both = causal._decision_probs(scm, decision, shuffled, *problem[3:])
+        assert _same(blocked, probs)
+        assert _same(both, [p[order] for p in probs])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["high", "low"]), st.integers(5, 60), st.integers(0, 2**16),
+           st.lists(st.sampled_from(["X1", "X2", "X3", "Y"]), min_size=1, max_size=3,
+                    unique=True),
+           st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5, 16]))
+    def test_four_gaps_ignore_order_and_blocks(self, target, n, seed, reads, perm_seed, cells):
+        scm = bundled_scm(target)
+        ds = sample(scm, n, seed=seed)
+        assume(0 < ds.sensitive.values.sum() < n)
+        fn = _rule(reads, [1.0, -0.5, 2.0][: len(reads)], 0.7, "getitem")
+
+        def gaps(data):
+            return (
+                cff_gap(scm, fn, data, 0, 1),
+                pcff_gap(scm, fn, data, 0, 1, frozenset({"X3"})),
+                dcff_gap(scm, fn, data, 0, 1),
+                ecff_gap(scm, fn, data, 0, 1),
+            )
+
+        want = gaps(ds)
+        with patch.object(causal, "_BLOCK_CELLS", cells):
+            assert gaps(ds) == want
+            shuffled = gaps(_units(ds, np.random.default_rng(perm_seed).permutation(n)))
+        # a mean over reordered units may round differently in its last bits
+        assert shuffled == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_many_branches_one_unit_per_block(self, monkeypatch):
+        # 32 branches: a plain row sum of one unit would round otherwise
+        scm = cap_scm(k=5)
+        obs, _ = simulate(scm, 60, seed=8)
+        problem = (scm, cap_rule, obs, [{"A": 0.0}, {"A": 1.0}], frozenset(), 16, 0)
+        probs = causal._decision_probs(*problem)
+        monkeypatch.setattr(causal, "_BLOCK_CELLS", 32)
+        assert _same(causal._decision_probs(*problem), probs)
+
+
+class TestPastTheCap:
+    def test_monte_carlo_matches_the_mixture(self, monkeypatch):
+        scm = cap_scm()
+        obs, _ = simulate(scm, 12, seed=5)
+        problem = (scm, cap_rule, obs, [{"A": 0.0}, {"A": 1.0}], frozenset(), 4000, 1)
+        mc = causal._decision_probs(*problem)
+        monkeypatch.setattr(causal, "_EXACT_CAP", 13)
+        exact = causal._decision_probs(*problem)
+        for m, e in zip(mc, exact):
+            assert (np.abs(m - e) <= 6 * np.maximum(np.sqrt(e * (1 - e) / 4000), 1 / 4000)).all()
+        assert not _same(mc, exact)
+
+    def test_counterfactual_reports_monte_carlo(self, monkeypatch):
+        scm = cap_scm()
+        values, _ = simulate(scm, 1, seed=6)
+        query = CounterfactualQuery({k: float(v[0]) for k, v in values.items()}, {"A": 1.0})
+        mc = counterfactual(scm, query, mc_budget=4000, seed=2)
+        assert not mc.exact and mc.draws == 4000 and set(mc.stderr) == set(scm.nodes)
+        monkeypatch.setattr(causal, "_EXACT_CAP", 13)
+        exact = counterfactual(scm, query)
+        assert exact.exact and exact.stderr is None
+        for node in scm.nodes:
+            m, e = mc.means[node], exact.means[node]
+            assert abs(m - e) <= 6 * max(mc.stderr[node], 1 / 4000)
+            if node.startswith("T"):  # 0/1 values: the sample stderr in closed form
+                assert mc.stderr[node] == pytest.approx(np.sqrt(m * (1 - m) / 3999), rel=1e-9)
+
+    def test_clamped_nodes_do_not_count(self):
+        # 13 random nodes, one of them intervened on or held: 12, exact
+        scm = cap_scm()
+        obs, _ = simulate(scm, 4, seed=7)
+        unit = {k: float(v[0]) for k, v in obs.items()}
+        assert counterfactual(scm, CounterfactualQuery(unit, {"T1": 1.0})).exact
+        assert counterfactual(scm, CounterfactualQuery(unit, {"A": 1.0}, {"T1"})).exact
+        calls = []
+
+        def rule(v):
+            calls.append(v["T2"].shape)
+            return cap_rule(v)
+
+        flips = [{"T1": 0.0}, {"T1": 1.0}]
+        causal._decision_probs(scm, rule, obs, flips, frozenset(), 4000, 0)
+        assert calls == [(1 << 12, 4)] * 2  # one exact call per intervention
+
+
+class TestBoundedMemory:
+    @staticmethod
+    def peak_mb(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_y_reading_gap_at_a_large_budget(self):
+        scm = bundled_scm("high")
+        ds = sample(scm, 2000, seed=11)
+        fn = lambda v: ((v["Y"] > 0.5) | (v["X1"] > 1)).astype(float)
+        gap = []
+        assert self.peak_mb(lambda: gap.append(cff_gap(scm, fn, ds, 0, 1, mc_budget=100000))) < 150
+        assert 0 < gap[0] < 1
+
+    def test_monte_carlo_past_the_cap_at_a_large_budget(self):
+        # a block holds _BLOCK_CELLS draws x units per node array: 15 nodes'
+        # noise and values at 65536 cells of 8 bytes are 16 MB
+        scm = cap_scm()
+        obs, _ = simulate(scm, 3, seed=5)
+        ds = Dataset(
+            tuple(FeatureColumn(k, "continuous", obs[k]) for k in scm.nodes[1:]),
+            SensitiveAttribute("A", obs["A"].astype(int), ("0", "1")),
+        )
+        a = int(obs["A"][0])
+        assert self.peak_mb(lambda: cff_gap(scm, cap_rule, ds, a, 1 - a, mc_budget=100000)) < 64
+        query = CounterfactualQuery({k: float(v[0]) for k, v in obs.items()}, {"A": 1.0 - a})
+        out = []
+        assert self.peak_mb(lambda: out.append(counterfactual(scm, query, 100000))) < 64
+        assert out[0].draws == 100000 and not out[0].exact
