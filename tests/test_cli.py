@@ -310,6 +310,17 @@ class TestSynth:
         assert a.read_bytes() != b.read_bytes()
 
 
+# sha256 of the model files that TestTrainCli.test_strategy_spellings writes,
+# measured before the strategy spellings moved into one table
+PINNED_MODELS = {
+    "full": "f08c9965879b5261c6857eac69cb0fda95bc6580a61a01499a3241361c93122a",
+    "ftu": "4c0813c724cbde8fb00045bc8767b44db2199dd4a7b1aea1dcf30df3e4618433",
+    "dp": "5811c7a9f27c973b4fa36d23c592e833a878e5f17954d705ad2c844967e829ba",
+    "cdp:X3": "99fa78ed82790ecda01dd67ce3f747a5ed6c719368793632056ba3ef869a4ded",
+    "supp:0.05": "f0a75880b8369257ec1b6863fced265e9cf0490a055e2b2fabe43dd530e8fe70",
+}
+
+
 class TestTrainCli:
     def synth_files(self, tmp_path, n=2500):
         data = tmp_path / "synth.csv"
@@ -474,6 +485,45 @@ class TestTrainCli:
             ]
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("strategy, code, first_line", [
+        ("full", EXIT_OK, "trained full model: 10 Newton iterations, "
+         "final gradient norm 6.67e-12 -> <model>"),
+        ("ftu", EXIT_OK, "trained ftu model: 7 Newton iterations, "
+         "final gradient norm 2.37e-11 -> <model>"),
+        ("dp", EXIT_OK, "trained dp_post model: 10 Newton iterations, "
+         "final gradient norm 6.67e-12 -> <model>"),
+        ("cdp:X3", EXIT_OK, "trained cdp_post model: 10 Newton iterations, "
+         "final gradient norm 6.67e-12 -> <model>"),
+        ("supp:0.05", EXIT_OK, "suppression dropped: X1 (|corr|=0.491), X3 (|corr|=0.578)"),
+        *((s, EXIT_USAGE, "usage error: strategy must be full, ftu, "
+           "supp:<threshold>, dp, or cdp:<column>")
+          for s in ("magic", "supp", "full:x", "dp:", "")),
+        ("supp:abc", EXIT_DATA, "data error: could not convert string to float: 'abc'"),
+        ("supp:", EXIT_DATA, "data error: could not convert string to float: ''"),
+        ("supp:2", EXIT_DATA, "data error: suppression threshold must lie in [0, 1]"),
+        ("cdp:", EXIT_DATA, "data error: cdp_post needs a conditioning column"),
+    ])
+    def test_strategy_spellings(self, tmp_path, capsys, strategy, code, first_line):
+        data, schema = self.synth_files(tmp_path, n=800)
+        model = tmp_path / "model.json"
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--schema", str(schema),
+                     "--strategy", strategy, "--model-out", str(model)]) == code
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].replace(str(model), "<model>") == first_line
+        assert model.exists() == (code == EXIT_OK)
+        if strategy in PINNED_MODELS:
+            assert sha256(model) == PINNED_MODELS[strategy]
+
+    def test_help_lists_the_strategies(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per option
+        with pytest.raises(SystemExit):
+            main(["train", "-h"])
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.lstrip().startswith("--strategy")] == [
+            "  --strategy STRATEGY   full | ftu | supp:<threshold> | dp | cdp:<column>"
+        ]
 
 
 class TestCounterfactualCli:

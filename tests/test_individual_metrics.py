@@ -13,6 +13,9 @@ from fairaudit.data import (
     SensitiveAttribute,
 )
 from fairaudit.individual_metrics import (
+    EUCLIDEAN_RAW,
+    EUCLIDEAN_STANDARDIZED,
+    USER_WEIGHTED,
     DistanceSpec,
     consistency,
     encode_for_distance,
@@ -394,3 +397,79 @@ class TestEncoding:
             DistanceSpec("user_weighted", weights=(0.0, 0.0))
         with pytest.raises(ValueError):
             DistanceSpec("user_weighted", weights=(-1.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# Distance encoding against the one-hot/standardise loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _old_encode_for_distance(ds, spec, include_sensitive=False):
+    """Verbatim copy of the earlier implementation (renamed)."""
+    if spec.kind == USER_WEIGHTED and len(spec.weights) != len(ds.features):
+        raise ValueError(
+            f"got {len(spec.weights)} weights for {len(ds.features)} features"
+        )
+    blocks, block_weights = [], []
+    for j, col in enumerate(ds.features):
+        if col.kind == CATEGORICAL:
+            m = int(col.values.max(initial=0)) + 1
+            block = np.zeros((ds.n, m))
+            if ds.n:
+                block[np.arange(ds.n), col.values] = 1.0
+        else:
+            block = col.values.reshape(-1, 1).astype(float)
+        blocks.append(block)
+        w = spec.weights[j] if spec.kind == USER_WEIGHTED else 1.0
+        block_weights.extend([w] * block.shape[1])
+    if include_sensitive:
+        g = ds.sensitive.n_groups
+        block = np.zeros((ds.n, max(g, 1)))
+        if ds.n:
+            block[np.arange(ds.n), ds.sensitive.values] = 1.0
+        blocks.append(block)
+        block_weights.extend([1.0] * block.shape[1])
+    x = np.hstack(blocks) if blocks else np.zeros((ds.n, 0))
+    if spec.kind in (EUCLIDEAN_STANDARDIZED, USER_WEIGHTED) and ds.n:
+        mu = x.mean(axis=0)
+        sd = x.std(axis=0)
+        sd[sd == 0] = 1.0
+        x = (x - mu) / sd
+    return x * np.asarray(block_weights)
+
+
+@st.composite
+def _encoding_cases(draw):
+    """Datasets whose categorical codes skip values and whose attribute has
+    groups that never occur, under every distance kind."""
+    n = draw(st.integers(0, 12))
+    n_groups = draw(st.integers(2, 4))
+    present = draw(st.lists(st.integers(0, n_groups - 1), min_size=1, unique=True))
+    groups = np.array(draw(st.lists(st.sampled_from(present), min_size=n, max_size=n)), dtype=int)
+    cols = []
+    for j in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            codes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True))
+            values = draw(st.lists(st.sampled_from(codes), min_size=n, max_size=n))
+            cols.append(FeatureColumn(f"c{j}", CATEGORICAL, np.array(values, dtype=int)))
+        else:
+            values = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+            cols.append(FeatureColumn(f"x{j}", CONTINUOUS, np.array(values, dtype=float)))
+    kinds = (EUCLIDEAN_STANDARDIZED, EUCLIDEAN_RAW) + ((USER_WEIGHTED,) if cols else ())
+    kind, weights = draw(st.sampled_from(kinds)), None
+    if kind == USER_WEIGHTED:
+        weights = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 3.0)),
+                                min_size=len(cols), max_size=len(cols)))
+        weights[draw(st.integers(0, len(cols) - 1))] = 2.0
+    sa = SensitiveAttribute("g", groups, tuple(f"g{i}" for i in range(n_groups)))
+    return Dataset(tuple(cols), sa), DistanceSpec(kind, weights), draw(st.booleans())
+
+
+@pytest.mark.filterwarnings("ignore:dataset has 0 rows")
+@settings(max_examples=300, deadline=None)
+@given(_encoding_cases())
+def test_encoding_matches_the_old_loop(case):
+    ds, spec, include_sensitive = case
+    new = encode_for_distance(ds, spec, include_sensitive)
+    old = _old_encode_for_distance(ds, spec, include_sensitive)
+    assert new.dtype == old.dtype and np.array_equal(new, old)
