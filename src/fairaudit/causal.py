@@ -289,27 +289,21 @@ def intervene(scm, do):
     return Scm(Dag(scm.dag.nodes, edges), assignments, noises, scm.sensitive, scm.target)
 
 
-def simulate(scm, n, seed=0, noise_overrides=None):
+def simulate(scm, n, seed=0):
     """Ancestral sampling: returns (values, latents) dicts of length-n arrays.
 
     Noise is drawn node by node in topological order from a single
     generator, so two runs with the same seed are bit-identical.
-    ``noise_overrides`` substitutes given noise arrays (common random
-    numbers across interventions, counterfactual prediction).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    noise_overrides = noise_overrides or {}
     values, latents = {}, {}
     for node in scm.dag.nodes:
-        u = noise_overrides.get(node)
-        if u is None:
-            u = scm.noises[node].draw(rng, n)
-        latents[node] = u
+        latents[node] = u = scm.noises[node].draw(rng, n)
         values[node] = scm.assignments[node].evaluate(values, u)
     return values, latents
 
 
-def sample(scm, n, seed=0, include_latents=False):
+def sample(scm, n, seed=0):
     """Sample n rows into a Dataset (features, sensitive attribute, target).
 
     The sensitive node must take small nonnegative integer values; nodes
@@ -318,7 +312,7 @@ def sample(scm, n, seed=0, include_latents=False):
     """
     if scm.sensitive is None:
         raise ValueError("dataset sampling needs a designated sensitive node")
-    values, latents = simulate(scm, n, seed)
+    values, _ = simulate(scm, n, seed)
     sens_vals = values[scm.sensitive]
     if n and not np.allclose(sens_vals, np.round(sens_vals)):
         raise ValueError("sensitive node must take integer group values")
@@ -339,8 +333,7 @@ def sample(scm, n, seed=0, include_latents=False):
     target = None
     if scm.target is not None:
         target = values[scm.target].astype(int)
-    ds = Dataset(tuple(features), sensitive, target, scm.target or "Y")
-    return (ds, latents) if include_latents else ds
+    return Dataset(tuple(features), sensitive, target, scm.target or "Y")
 
 
 def _is_discrete(scm, node):

@@ -309,26 +309,11 @@ def _resolve_noise(choice, seed):
 def cmd_train(args):
     schema = load_schema(args.schema)
     ds = load_csv(args.data, schema)
-    strategy = args.strategy
     drop = tuple(s.strip() for s in args.drop.split(",") if s.strip()) if args.drop else ()
-    if strategy == "full":
-        spec = modeling.MitigationSpec(modeling.FULL, drop_features=drop)
-    elif strategy == "ftu":
-        spec = modeling.MitigationSpec(modeling.FTU, drop_features=drop)
-    elif strategy.startswith("supp:"):
-        spec = modeling.MitigationSpec(
-            modeling.SUPPRESSION, threshold=float(strategy[5:]), drop_features=drop
-        )
-    elif strategy == "dp":
-        spec = modeling.MitigationSpec(modeling.DP_POST, drop_features=drop)
-    elif strategy.startswith("cdp:"):
-        spec = modeling.MitigationSpec(
-            modeling.CDP_POST, conditioning=strategy[4:], drop_features=drop
-        )
-    else:
-        raise UsageError(
-            "strategy must be full, ftu, supp:<threshold>, dp, or cdp:<column>"
-        )
+    spec = modeling.parse_strategy(args.strategy, drop)
+    if spec is None:
+        *head, last = modeling.STRATEGIES
+        raise UsageError(f"strategy must be {', '.join(head)}, or {last}")
     hyper = modeling.TrainConfig(args.max_epochs)
     model = modeling.train(ds, spec, hyper, args.seed)
     modeling.save_model(model, args.model_out, modeling.fit_policy(ds, model))
@@ -493,7 +478,7 @@ def build_parser():
     p.add_argument(
         "--strategy",
         required=True,
-        help="full | ftu | supp:<threshold> | dp | cdp:<column>",
+        help=" | ".join(modeling.STRATEGIES),
     )
     p.add_argument("--drop", default=None, help="comma list of features to drop explicitly")
     p.add_argument("--model-out", required=True)

@@ -59,8 +59,9 @@ def gaps(ds, preds, score_bins=10):
 
 
 def _gaps(ds, preds, stats, score_bins=10):
+    # flags name groups in label order, so that row order cannot change them
     flags = []
-    for s in stats:
+    for s in sorted(stats, key=lambda s: s.label):
         for attr in ("fpr", "fnr", "ppv", "npv"):
             if getattr(s, attr) is None:
                 flags.append(f"{attr} undefined for group {s.label}")

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
+from . import group_metrics, modeling
 from .data import CATEGORICAL, Dataset, PredictionSet, SensitiveAttribute
 
 EUCLIDEAN_STANDARDIZED = "euclidean_standardized"
@@ -49,41 +50,32 @@ class DistanceSpec:
 def encode_for_distance(ds, spec, include_sensitive=False):
     """Feature matrix under a distance spec.
 
-    Categorical features are one-hot encoded; standardisation (when the
-    spec asks for it) uses per-column mean/std with zero-variance columns
-    left centred. ``include_sensitive`` appends a one-hot of the group
-    codes, for audits over the full feature-plus-attribute space.
+    Categorical features are one-hot encoded over the codes 0..max, as the
+    classifier encodes them; standardisation (when the spec asks for it)
+    uses per-column mean/std with zero-variance columns left centred.
+    ``include_sensitive`` appends a one-hot of the group codes, for audits
+    over the full feature-plus-attribute space.
     """
     if spec.kind == USER_WEIGHTED and len(spec.weights) != len(ds.features):
         raise ValueError(
             f"got {len(spec.weights)} weights for {len(ds.features)} features"
         )
-    blocks, block_weights = [], []
-    for j, col in enumerate(ds.features):
-        if col.kind == CATEGORICAL:
-            m = int(col.values.max(initial=0)) + 1
-            block = np.zeros((ds.n, m))
-            if ds.n:
-                block[np.arange(ds.n), col.values] = 1.0
-        else:
-            block = col.values.reshape(-1, 1).astype(float)
-        blocks.append(block)
-        w = spec.weights[j] if spec.kind == USER_WEIGHTED else 1.0
-        block_weights.extend([w] * block.shape[1])
-    if include_sensitive:
-        g = ds.sensitive.n_groups
-        block = np.zeros((ds.n, max(g, 1)))
-        if ds.n:
-            block[np.arange(ds.n), ds.sensitive.values] = 1.0
-        blocks.append(block)
-        block_weights.extend([1.0] * block.shape[1])
-    x = np.hstack(blocks) if blocks else np.zeros((ds.n, 0))
-    if spec.kind in (EUCLIDEAN_STANDARDIZED, USER_WEIGHTED) and ds.n:
-        mu = x.mean(axis=0)
-        sd = x.std(axis=0)
-        sd[sd == 0] = 1.0
-        x = (x - mu) / sd
-    return x * np.asarray(block_weights)
+    columns = tuple(
+        (c.name, c.kind, tuple(range(int(c.values.max(initial=0)) + 1))
+         if c.kind == CATEGORICAL else None)
+        for c in ds.features
+    )
+    x = modeling._raw_design(
+        ds, columns, include_sensitive, tuple(range(max(ds.sensitive.n_groups, 1)))
+    )
+    if spec.kind == EUCLIDEAN_RAW:
+        return x
+    means, scales = modeling._standardisation(x)
+    x = (x - means) / scales
+    if spec.kind == USER_WEIGHTED:
+        widths = [1 if levels is None else len(levels) for _, _, levels in columns]
+        x[:, : sum(widths)] *= np.repeat(spec.weights, widths)
+    return x
 
 
 # Pair-distance elements (pairs x encoded columns) held at once by the kNN
@@ -157,10 +149,7 @@ def consistency(ds, preds, k=5, dist=DistanceSpec()):
     k-th distance are all included, so the neighbourhood is deterministic
     without arbitrary ordering. Equals 1 for any constant decision rule.
     """
-    if preds is None or preds.decisions is None:
-        raise ValueError("consistency needs binary decisions")
-    if preds.n != ds.n:
-        raise ValueError(f"predictions cover {preds.n} rows, dataset has {ds.n}")
+    group_metrics._require(ds, preds, (("decisions", "consistency needs binary decisions"),))
     n = ds.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must lie in [1, {n - 1}]")
@@ -181,10 +170,9 @@ def similarity_weighted_disparity(ds, preds, dist=DistanceSpec()):
     on opposite sides of the attribute are treated differently. Requires a
     binary sensitive attribute (intersect or recode first).
     """
-    if preds is None or preds.decisions is None:
-        raise ValueError("similarity_weighted_disparity needs binary decisions")
-    if preds.n != ds.n:
-        raise ValueError(f"predictions cover {preds.n} rows, dataset has {ds.n}")
+    group_metrics._require(
+        ds, preds, (("decisions", "similarity_weighted_disparity needs binary decisions"),)
+    )
     if ds.sensitive.n_groups != 2:
         raise ValueError("binary sensitive attribute required; intersect/recode first")
     a = ds.sensitive.values

@@ -5,7 +5,8 @@ iterations from zero weights, so training is bit-reproducible: no random
 init, no minibatches. Linearly separable rows have no maximum-likelihood
 fit; the model then reports ``converged=False``.
 
-Mitigation strategies:
+Mitigation strategies (``STRATEGIES`` maps each ``train --strategy``
+spelling to one of them):
 
 - ``full``: train on everything including the sensitive attribute;
 - ``ftu``: drop the sensitive attribute from the inputs;
@@ -34,7 +35,15 @@ SUPPRESSION = "suppression"
 DP_POST = "dp_post"
 CDP_POST = "cdp_post"
 
-_STRATEGIES = (FULL, FTU, SUPPRESSION, DP_POST, CDP_POST)
+# ``train --strategy`` spelling -> (strategy, the MitigationSpec field that
+# the text after ``:`` sets, and how that text is read)
+STRATEGIES = {
+    "full": (FULL, None, None),
+    "ftu": (FTU, None, None),
+    "supp:<threshold>": (SUPPRESSION, "threshold", float),
+    "dp": (DP_POST, None, None),
+    "cdp:<column>": (CDP_POST, "conditioning", str),
+}
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,7 @@ class MitigationSpec:
     conditioning: str | None = None
 
     def __post_init__(self):
-        if self.strategy not in _STRATEGIES:
+        if self.strategy not in {row[0] for row in STRATEGIES.values()}:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.strategy == SUPPRESSION and not 0.0 <= self.threshold <= 1.0:
             raise ValueError("suppression threshold must lie in [0, 1]")
@@ -64,6 +73,20 @@ class MitigationSpec:
     @property
     def uses_sensitive(self):
         return self.strategy in (FULL, DP_POST, CDP_POST)
+
+
+def parse_strategy(text, drop_features=()):
+    """The MitigationSpec that a ``train --strategy`` spelling names.
+
+    None when ``text`` is no spelling of :data:`STRATEGIES`; a value that
+    does not read, or that the spec rejects, raises ValueError.
+    """
+    word, colon, value = text.partition(":")
+    for spelling, (strategy, field, read) in STRATEGIES.items():
+        if spelling.partition(":")[0] == word and bool(colon) == (field is not None):
+            fields = {field: read(value)} if field else {}
+            return MitigationSpec(strategy, drop_features=drop_features, **fields)
+    return None
 
 
 @dataclass(frozen=True)
@@ -225,6 +248,14 @@ def _raw_design(ds, columns, include_sensitive, sensitive_levels):
     return np.hstack(blocks) if blocks else np.zeros((ds.n, 0))
 
 
+def _standardisation(raw):
+    """Column means and standard deviations of ``raw``, a zero one read as 1."""
+    if not len(raw):
+        return np.zeros(raw.shape[1]), np.ones(raw.shape[1])
+    scales = raw.std(axis=0)
+    return raw.mean(axis=0), np.where(scales == 0, 1.0, scales)
+
+
 def _fit_encoder(ds, feature_names, include_sensitive):
     columns = []
     for name in feature_names:
@@ -234,10 +265,9 @@ def _fit_encoder(ds, feature_names, include_sensitive):
             levels = tuple(int(c) for c in np.unique(col.values))
         columns.append((name, col.kind, levels))
     sens_levels = tuple(int(c) for c in np.unique(ds.sensitive.values))
-    raw = _raw_design(ds, tuple(columns), include_sensitive, sens_levels)
-    means = raw.mean(axis=0) if len(raw) else np.zeros(raw.shape[1])
-    scales = raw.std(axis=0) if len(raw) else np.ones(raw.shape[1])
-    scales = np.where(scales == 0, 1.0, scales)
+    means, scales = _standardisation(
+        _raw_design(ds, tuple(columns), include_sensitive, sens_levels)
+    )
     labels = {c.name: c.code_labels for c in ds.features if c.kind == CATEGORICAL}
     return _Encoder(
         tuple(columns), include_sensitive, sens_levels, means, scales,
@@ -398,23 +428,6 @@ def predict(model, ds, policy=None):
     return apply_threshold(PredictionSet(scores=scores), policy, ds.sensitive, strata)
 
 
-def _rate_thresholds(scores, groups, n_groups, rate):
-    """Per-group threshold accepting the ceil(rate * n_g) highest scores."""
-    cells, flags = {}, []
-    for g in range(n_groups):
-        sg = np.sort(scores[groups == g])
-        if len(sg) == 0:
-            continue
-        if sg[0] == sg[-1]:
-            flags.append(f"constant scores in group {g}")
-        k = int(np.ceil(rate * len(sg)))
-        if k <= 0:
-            cells[g] = float(np.nextafter(sg[-1], np.inf))  # accept nobody
-        else:
-            cells[g] = float(sg[len(sg) - k])
-    return cells, flags
-
-
 def fit_dp_threshold_scores(scores, groups, n_groups, target, grid_size=100):
     """Common-acceptance-rate thresholds straight from scores.
 
@@ -425,27 +438,37 @@ def fit_dp_threshold_scores(scores, groups, n_groups, target, grid_size=100):
     the r with the best accuracy against ``target``, preferring smaller r
     on ties. Each group is sorted once: at every rate its rows from the
     first copy of the threshold score up are accepted, so its correct
-    count is the positives from there up plus the negatives below.
+    count is the positives from there up plus the negatives below. At
+    rate 0 the threshold lies just above the group's top score.
     """
     scores = np.asarray(scores, dtype=float)
     groups = np.asarray(groups, dtype=int)
     target = np.asarray(target, dtype=int)
     rates = np.array([i / grid_size for i in range(grid_size + 1)])
     correct = np.zeros(len(rates), dtype=np.int64)
+    thresholds, flags = {}, []  # per group: its threshold at every rate
     for g in range(n_groups):
         m = groups == g
         order = np.argsort(scores[m])
         sg, yg = scores[m][order], target[m][order]
+        if len(sg) == 0:
+            continue
+        if sg[0] == sg[-1]:
+            flags.append(f"constant scores in group {g}")
         k = np.ceil(rates * len(sg)).astype(np.int64)
+        thresholds[g] = np.where(
+            k > 0, sg[len(sg) - np.maximum(k, 1)], np.nextafter(sg[-1], np.inf)
+        )
         start = np.full(len(rates), len(sg))
-        start[k > 0] = np.searchsorted(sg, sg[len(sg) - k[k > 0]], side="left")
+        start[k > 0] = np.searchsorted(sg, thresholds[g][k > 0], side="left")
         pos = np.concatenate(([0], np.cumsum(yg == 1)))
         neg = np.concatenate(([0], np.cumsum(yg == 0)))
         correct += pos[-1] - pos[start] + neg[start]
-    r = float(rates[np.argmax(correct)])
-    cells, flags = _rate_thresholds(scores, groups, n_groups, r)
+    best = int(np.argmax(correct))
     return ThresholdPolicy(
-        {(g, None): t for g, t in cells.items()}, target_rate=r, flags=tuple(flags)
+        {(g, None): float(t[best]) for g, t in thresholds.items()},
+        target_rate=float(rates[best]),
+        flags=tuple(flags),
     )
 
 

@@ -879,12 +879,10 @@ def _same_report(got, want, path="report"):
     Means summed in another row order differ in their last bits, so a gap
     (a difference of two such means, of order one) may differ by 1e-16 or
     so however small it is: floats also pass within 1e-14 absolute. Lists
-    of strings (flags, skipped cells) compare as multisets: they name
-    groups in group-code order, which is the order groups first appear.
+    of strings (flags, skipped cells) must match in order too: they name
+    groups by label, in label order.
     """
-    if isinstance(want, list) and all(isinstance(w, str) for w in want):
-        assert isinstance(got, list) and sorted(got) == sorted(want), path
-    elif isinstance(want, dict):
+    if isinstance(want, dict):
         assert isinstance(got, dict) and set(got) == set(want), path
         for k in want:
             _same_report(got[k], want[k], f"{path}.{k}")

@@ -39,6 +39,16 @@ class TestGaps:
         g = gaps(ds, preds)
         assert any("fpr" in f for f in g.flags)
 
+    def test_flags_follow_group_labels(self):
+        # "b" appears first and takes code 0; the flags still list "a" first
+        sa = SensitiveAttribute.from_values("g", ["b", "a", "b", "a"])
+        y = np.array([1, 0, 1, 0])
+        g = gaps(Dataset((), sa, target=y), PredictionSet(decisions=y))
+        assert g.flags == (
+            "fnr undefined for group a", "ppv undefined for group a",
+            "fpr undefined for group b", "npv undefined for group b",
+        )
+
 
 DEN = 8  # rate denominator: positives/negatives are multiples of it, so
 # every confusion cell below is an exact integer

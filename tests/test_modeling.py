@@ -29,7 +29,6 @@ from fairaudit.modeling import (
     TrainConfig,
     _encode,
     _Encoder,
-    _rate_thresholds,
     fit_cdp_threshold,
     fit_dp_threshold,
     fit_dp_threshold_scores,
@@ -200,9 +199,13 @@ class TestPredict:
 
 class TestDpThreshold:
     def test_quantile_arithmetic_at_half(self):
+        # rates 0, 0.5 and 1; only 0.5 accepts exactly the positives
         scores = np.array([0.1, 0.4, 0.6, 0.9, 0.2, 0.3, 0.5, 0.7])
         groups = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        cells, _ = _rate_thresholds(scores, groups, 2, 0.5)
+        target = np.array([0, 0, 1, 1, 0, 0, 1, 1])
+        policy = fit_dp_threshold_scores(scores, groups, 2, target, grid_size=2)
+        assert policy.target_rate == 0.5
+        cells = {g: policy.threshold(g) for g in (0, 1)}
         accepted0 = sorted(s for s, g in zip(scores, groups) if g == 0 and s >= cells[0])
         accepted1 = sorted(s for s, g in zip(scores, groups) if g == 1 and s >= cells[1])
         assert accepted0 == [0.6, 0.9]
@@ -211,9 +214,10 @@ class TestDpThreshold:
     def test_accept_nobody_at_zero_rate(self):
         scores = np.array([0.2, 0.9, 0.4, 0.8])
         groups = np.array([0, 0, 1, 1])
-        cells, _ = _rate_thresholds(scores, groups, 2, 0.0)
-        assert not np.any(scores[groups == 0] >= cells[0])
-        assert not np.any(scores[groups == 1] >= cells[1])
+        policy = fit_dp_threshold_scores(scores, groups, 2, np.zeros(4, dtype=int), grid_size=2)
+        assert policy.target_rate == 0.0
+        assert not np.any(scores[groups == 0] >= policy.threshold(0))
+        assert not np.any(scores[groups == 1] >= policy.threshold(1))
 
     def test_fair_accurate_model_is_fixed_point(self):
         # a model that is already accurate and acceptance-balanced keeps
