@@ -320,6 +320,26 @@ PINNED_MODELS = {
     "supp:0.05": "f0a75880b8369257ec1b6863fced265e9cf0490a055e2b2fabe43dd530e8fe70",
 }
 
+# (spelling, exit code, first stderr line with the model path as <model>)
+STRATEGY_CASES = [
+    ("full", EXIT_OK, "trained full model: 10 Newton iterations, "
+     "final gradient norm 6.67e-12 -> <model>"),
+    ("ftu", EXIT_OK, "trained ftu model: 7 Newton iterations, "
+     "final gradient norm 2.37e-11 -> <model>"),
+    ("dp", EXIT_OK, "trained dp_post model: 10 Newton iterations, "
+     "final gradient norm 6.67e-12 -> <model>"),
+    ("cdp:X3", EXIT_OK, "trained cdp_post model: 10 Newton iterations, "
+     "final gradient norm 6.67e-12 -> <model>"),
+    ("supp:0.05", EXIT_OK, "suppression dropped: X1 (|corr|=0.491), X3 (|corr|=0.578)"),
+    *((s, EXIT_USAGE, "usage error: strategy must be full, ftu, "
+       "supp:<threshold>, dp, or cdp:<column>")
+      for s in ("magic", "supp", "full:x", "dp:", "")),
+    ("supp:abc", EXIT_DATA, "data error: could not convert string to float: 'abc'"),
+    ("supp:", EXIT_DATA, "data error: could not convert string to float: ''"),
+    ("supp:2", EXIT_DATA, "data error: suppression threshold must lie in [0, 1]"),
+    ("cdp:", EXIT_DATA, "data error: cdp_post needs a conditioning column"),
+]
+
 
 class TestTrainCli:
     def synth_files(self, tmp_path, n=2500):
@@ -486,24 +506,9 @@ class TestTrainCli:
         )
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("strategy, code, first_line", [
-        ("full", EXIT_OK, "trained full model: 10 Newton iterations, "
-         "final gradient norm 6.67e-12 -> <model>"),
-        ("ftu", EXIT_OK, "trained ftu model: 7 Newton iterations, "
-         "final gradient norm 2.37e-11 -> <model>"),
-        ("dp", EXIT_OK, "trained dp_post model: 10 Newton iterations, "
-         "final gradient norm 6.67e-12 -> <model>"),
-        ("cdp:X3", EXIT_OK, "trained cdp_post model: 10 Newton iterations, "
-         "final gradient norm 6.67e-12 -> <model>"),
-        ("supp:0.05", EXIT_OK, "suppression dropped: X1 (|corr|=0.491), X3 (|corr|=0.578)"),
-        *((s, EXIT_USAGE, "usage error: strategy must be full, ftu, "
-           "supp:<threshold>, dp, or cdp:<column>")
-          for s in ("magic", "supp", "full:x", "dp:", "")),
-        ("supp:abc", EXIT_DATA, "data error: could not convert string to float: 'abc'"),
-        ("supp:", EXIT_DATA, "data error: could not convert string to float: ''"),
-        ("supp:2", EXIT_DATA, "data error: suppression threshold must lie in [0, 1]"),
-        ("cdp:", EXIT_DATA, "data error: cdp_post needs a conditioning column"),
-    ])
+    @pytest.mark.parametrize(
+        "strategy, code, first_line", STRATEGY_CASES, ids=[repr(c[0]) for c in STRATEGY_CASES]
+    )
     def test_strategy_spellings(self, tmp_path, capsys, strategy, code, first_line):
         data, schema = self.synth_files(tmp_path, n=800)
         model = tmp_path / "model.json"
