@@ -298,7 +298,8 @@ def simulate(scm, n, seed=0):
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     values, latents = {}, {}
     for node in scm.dag.nodes:
-        latents[node] = u = scm.noises[node].draw(rng, n)
+        u = scm.noises[node].draw(rng, n)
+        latents[node] = u
         values[node] = scm.assignments[node].evaluate(values, u)
     return values, latents
 
