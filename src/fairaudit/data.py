@@ -265,6 +265,27 @@ def _parse_float(cell, column, row):
     return value
 
 
+def _read_csv(path):
+    """The stripped header and the non-empty rows of a CSV file.
+
+    A name the header repeats is a schema error: every column is looked up
+    by name, so all but one of the repeated columns would be lost.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ParseError(f"{path}: empty file, no header row") from None
+        rows = [row for row in reader if row]
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise SchemaError(f"column {name!r} appears more than once in the header of {path}")
+        seen.add(name)
+    return header, rows
+
+
 def load_csv(path, schema, exclude=()):
     """Load an RFC-4180-style CSV (header row, UTF-8) into a :class:`Dataset`.
 
@@ -278,14 +299,7 @@ def load_csv(path, schema, exclude=()):
     """
     if "sensitive" not in schema:
         raise SchemaError("schema must name a 'sensitive' column")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, no header row") from None
-        header = [h.strip() for h in header]
-        rows = [row for row in reader if row]
+    header, rows = _read_csv(path)
 
     columns = {}
     for j, name in enumerate(header):
@@ -372,10 +386,7 @@ def load_predictions(path, decisions=None, scores=None):
     """Read prediction columns (by name) out of a CSV into a PredictionSet."""
     if decisions is None and scores is None:
         raise ValueError("name a decisions column, a scores column, or both")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        rows = [row for row in reader if row]
+    header, rows = _read_csv(path)
     out = {}
     for role, name in (("decisions", decisions), ("scores", scores)):
         if name is None:

@@ -9,6 +9,7 @@ arbitrary units; raw Euclidean and user-weighted variants are available.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,9 +79,10 @@ def encode_for_distance(ds, spec, include_sensitive=False):
     return x
 
 
-# Pair-distance elements (pairs x encoded columns) held at once by the kNN
-# search; bounds its memory independently of n.
-_KNN_BLOCK = 1 << 21
+# Pair elements (pairs x encoded columns) that one block of a pairwise scan
+# holds at once; bounds the memory of the kNN search and of the disparity
+# independently of n.
+_PAIR_BLOCK = 1 << 21
 
 
 def _knn_means(x, dec, k):
@@ -122,7 +124,7 @@ def _knn_means(x, dec, k):
         radius = np.empty(m)
     while len(pending):
         width = min(width, m)
-        step = max(1, _KNN_BLOCK // (width * max(cols, 1)))
+        step = max(1, _PAIR_BLOCK // (width * max(cols, 1)))
         unsettled = [pending[:0]]
         for start in range(0, len(pending), step):
             rows = pending[start : start + step]
@@ -162,6 +164,29 @@ def consistency(ds, preds, k=5, dist=DistanceSpec()):
     return 1.0 - total / n
 
 
+def _exp_neg_row_sums(left, right):
+    """``exp(-cdist(left, right)).sum(axis=1)`` as a list, in one reused
+    block of at most ``_PAIR_BLOCK`` pair elements.
+
+    ``right`` is put in canonical (lexicographic) order first, so a row's
+    sum depends on the rows' contents alone: not on their order, and not on
+    the block, since each row is reduced on its own.
+    """
+    if right.shape[1]:  # without columns every row is the same empty row
+        right = right[np.lexsort(right.T[::-1])]
+    step = max(1, _PAIR_BLOCK // max(right.size, 1))
+    block = np.empty(min(step, len(left)) * len(right))
+    sums = []
+    for start in range(0, len(left), step):
+        rows = left[start : start + step]
+        terms = block[: len(rows) * len(right)].reshape(len(rows), len(right))
+        cdist(rows, right, out=terms)
+        np.negative(terms, out=terms)
+        np.exp(terms, out=terms)
+        sums.extend(terms.sum(axis=1).tolist())
+    return sums
+
+
 def similarity_weighted_disparity(ds, preds, dist=DistanceSpec()):
     """Cross-group decision differences weighted by feature similarity.
 
@@ -169,6 +194,14 @@ def similarity_weighted_disparity(ds, preds, dist=DistanceSpec()):
     one member in each of the two groups; high values mean similar people
     on opposite sides of the attribute are treated differently. Requires a
     binary sensitive attribute (intersect or recode first).
+
+    Only pairs whose decisions differ contribute, so only they are
+    evaluated: group-1 rows with decision 1 against group-0 rows with
+    decision 0, and the reverse. Each group-1 row's terms are summed over
+    the group-0 rows in canonical (lexicographic) order, and the row sums
+    are combined with ``math.fsum``, which is exactly rounded. So, for
+    given encoded rows, the value depends on neither the row order nor the
+    block size.
     """
     group_metrics._require(
         ds, preds, (("decisions", "similarity_weighted_disparity needs binary decisions"),)
@@ -181,19 +214,10 @@ def similarity_weighted_disparity(ds, preds, dist=DistanceSpec()):
     if len(i1) == 0 or len(i0) == 0:
         raise ValueError("both groups must be nonempty")
     x = encode_for_distance(ds, dist)
-    dec = preds.decisions
-    # Only pairs with differing decisions contribute; the others are exact
-    # zeros in the block, which is summed whole so the result keeps its bits.
-    col_pos = dec[i0] == 1
-    total = 0.0
-    for start in range(0, len(i1), 512):
-        rows = i1[start : start + 512]
-        terms = np.zeros((len(rows), len(i0)))
-        row_pos = dec[rows] == 1
-        for r, c in ((row_pos, ~col_pos), (~row_pos, col_pos)):
-            terms[np.ix_(r, c)] = np.exp(-cdist(x[rows[r]], x[i0[c]]))
-        total += float(terms.sum())
-    return total / (len(i1) * len(i0))
+    pos = preds.decisions == 1
+    row_sums = _exp_neg_row_sums(x[i1[pos[i1]]], x[i0[~pos[i0]]])
+    row_sums += _exp_neg_row_sums(x[i1[~pos[i1]]], x[i0[pos[i0]]])
+    return math.fsum(row_sums) / (len(i1) * len(i0))
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,25 @@ class TestAudit:
         err = capsys.readouterr().err
         assert "not finite" in err and repr(column) in err
 
+    def test_repeated_header_name_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text(
+            "g,x,x,y,pred\nm,1,5,1,1\nf,2,3,0,0\nm,3,1,1,1\nf,4,0,0,0\n", encoding="utf-8"
+        )
+        schema = tmp_path / "s.cfg"
+        schema.write_text("sensitive = g\ntarget = y\n", encoding="utf-8")
+        code = main(
+            [
+                "audit",
+                "--data", str(data),
+                "--schema", str(schema),
+                "--predictions", "yhat=pred",
+                "--metrics", "dp",
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "column 'x' appears more than once" in capsys.readouterr().err
+
     def test_undefined_everywhere_exit_partial(self, tmp_path, capsys):
         # nobody accepted: precision undefined in every group
         data = tmp_path / "d.csv"

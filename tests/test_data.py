@@ -102,6 +102,21 @@ class TestLoadCsv:
         assert preds.decisions.tolist() == [1, 0]
         assert preds.scores.tolist() == [0.9, 0.2]
 
+    def test_repeated_header_name_rejected(self, tmp_path):
+        # Read by name, the second x column would shadow the first.
+        p = write(tmp_path, "d.csv", "g,x,x,y\nm,1,5,1\nf,2,3,0\nm,3,1,1\nf,4,0,0\n")
+        with pytest.raises(SchemaError, match="column 'x' appears more than once"):
+            load_csv(p, {"sensitive": "g", "target": "y"})
+
+    def test_load_predictions_repeated_header_name_rejected(self, tmp_path):
+        p = write(tmp_path, "d.csv", "g,pred,pred\nm,1,0\nf,0,1\n")
+        with pytest.raises(SchemaError, match="column 'pred' appears more than once"):
+            load_predictions(p, decisions="pred")
+
+    def test_load_predictions_empty_file(self, tmp_path):
+        with pytest.raises(ParseError, match="empty file"):
+            load_predictions(write(tmp_path, "d.csv", ""), decisions="pred")
+
 
 class TestContainers:
     def test_sensitive_needs_two_groups(self):

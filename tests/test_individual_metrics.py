@@ -1,9 +1,14 @@
+import math
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from fairaudit import individual_metrics
 from fairaudit.data import (
     CATEGORICAL,
     CONTINUOUS,
@@ -112,8 +117,11 @@ class TestSimilarityWeightedDisparity:
         assert similarity_weighted_disparity(ds, preds, RAW) == pytest.approx(1.0)
 
     def test_constant_decisions_zero(self):
-        ds, preds = one_d([0.0, 1.0, 2.0, 3.0], [1, 0, 1, 0], [1, 1, 1, 1])
-        assert similarity_weighted_disparity(ds, preds, RAW) == 0.0
+        for decision in (0, 1):
+            ds, preds = one_d([0.0, 1.0, 2.0, 3.0], [1, 0, 1, 0], [decision] * 4)
+            for block in (1, 1 << 21):
+                with patch.object(individual_metrics, "_PAIR_BLOCK", block):
+                    assert similarity_weighted_disparity(ds, preds, RAW) == 0.0
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(2)
@@ -149,7 +157,8 @@ class TestSimilarityWeightedDisparity:
 
 
 # The dense 512-row block implementations that the tree search and the
-# cross-decision sub-blocks replaced, kept verbatim as bit-exact references.
+# differing-decision rectangles replaced, kept verbatim as references:
+# bit-exact for consistency, within DISPARITY_REL for the disparity.
 def _block_distances(x, rows):
     """Pairwise Euclidean distances of x[rows] against all of x.
 
@@ -234,6 +243,28 @@ def tie_heavy_audits(draw):
     return ds, PredictionSet(decisions=dec), spec, k
 
 
+# Relative bound between the disparity and a reference that sums the same
+# terms in another order. The terms agree to an ulp or two (cdist against
+# broadcasting), and a pairwise row sum of at most 700 positive terms is
+# off by well under 10 ulps, so 1e-14 (about 45 ulps) holds with margin.
+DISPARITY_REL = 1e-14
+
+
+def exact_disparity(ds, preds, dist):
+    """Every cross-group term by broadcasting, summed exactly by math.fsum
+    and divided once: the correctly rounded mean up to the terms' own ulps."""
+    x = encode_for_distance(ds, dist)
+    in1 = ds.sensitive.values == 1
+    dec = preds.decisions.astype(float)
+    d = np.sqrt(((x[in1][:, None, :] - x[~in1][None, :, :]) ** 2).sum(axis=2))
+    terms = np.exp(-d) * np.abs(dec[in1][:, None] - dec[~in1][None, :])
+    return math.fsum(terms.ravel()) / terms.size
+
+
+def assert_disparity_near(got, want):
+    assert abs(got - want) <= DISPARITY_REL * want, (got, want)
+
+
 class TestBitExactAgainstBlockScan:
     @settings(max_examples=150, deadline=None)
     @given(tie_heavy_audits())
@@ -244,10 +275,73 @@ class TestBitExactAgainstBlockScan:
     @settings(max_examples=150, deadline=None)
     @given(tie_heavy_audits())
     def test_similarity_weighted_disparity(self, case):
+        # The block scan's bits depend on its block size and row order, which
+        # the disparity no longer shares; it stays a reference within a bound.
         ds, preds, spec, _ = case
+        assert_disparity_near(
+            similarity_weighted_disparity(ds, preds, spec),
+            block_similarity_weighted_disparity(ds, preds, spec),
+        )
+
+
+class TestDisparityIsOrderFree:
+    @settings(max_examples=150, deadline=None)
+    @given(tie_heavy_audits())
+    def test_matches_exact_sum(self, case):
+        ds, preds, spec, _ = case
+        assert_disparity_near(
+            similarity_weighted_disparity(ds, preds, spec), exact_disparity(ds, preds, spec)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy_audits(), st.integers(0, 2**32 - 1))
+    def test_bit_identical_under_row_order_and_block_size(self, case, seed):
+        ds, preds, spec, _ = case
+        want = similarity_weighted_disparity(ds, preds, spec)
+        for block in (1, 1 << 10):  # 1: one group-1 row per block
+            with patch.object(individual_metrics, "_PAIR_BLOCK", block):
+                assert similarity_weighted_disparity(ds, preds, spec) == want
+        # Raw distances: the standardised encodings take column means in row
+        # order, so a permutation can move their encoded rows by an ulp.
+        perm = np.random.default_rng(seed).permutation(ds.n)
         assert similarity_weighted_disparity(
-            ds, preds, spec
-        ) == block_similarity_weighted_disparity(ds, preds, spec)
+            ds.take(perm), preds.take(perm), RAW
+        ) == similarity_weighted_disparity(ds, preds, RAW)
+
+    @pytest.mark.parametrize("group", [0, 1])
+    def test_class_missing_from_one_group(self, group):
+        # One rectangle has no rows or no columns and adds exactly nothing.
+        rng = np.random.default_rng(5)
+        a = np.array([0, 1] * 15)
+        dec = rng.integers(0, 2, 30)
+        dec[a == group] = 1
+        ds, preds = one_d(rng.normal(size=30), a, dec)
+        got = similarity_weighted_disparity(ds, preds)
+        assert got > 0.0
+        assert_disparity_near(got, exact_disparity(ds, preds, DistanceSpec()))
+
+    def test_no_features(self):
+        # Every distance is 0, so the value is the share of differing pairs.
+        sa = SensitiveAttribute("g", np.array([0, 1, 0, 1, 1]), ("g0", "g1"))
+        preds = PredictionSet(decisions=np.array([1, 0, 0, 1, 1]))
+        assert similarity_weighted_disparity(Dataset((), sa), preds) == 0.5
+
+    def test_memory_is_one_block(self):
+        # 15,000 rows, 4 columns: one block of pair terms is 4 MB. Evaluating
+        # exp(-d) out of place holds three blocks (13.6 MB peak), and the
+        # zero-filled 512-row scan this replaced peaked at 63 MB.
+        rng = np.random.default_rng(0)
+        n = 15000
+        cols = tuple(FeatureColumn(f"x{j}", CONTINUOUS, rng.normal(size=n)) for j in range(4))
+        ds = Dataset(cols, SensitiveAttribute("g", rng.integers(0, 2, n), ("g0", "g1")))
+        preds = PredictionSet(decisions=rng.integers(0, 2, n))
+        tracemalloc.start()
+        try:
+            similarity_weighted_disparity(ds, preds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestFlipAssessment:
