@@ -171,7 +171,7 @@ _BY_NAME = {c.name: c for c in CRITERIA}
 def _has_skips(doc):
     if isinstance(doc, dict):
         for key, value in doc.items():
-            if key in ("skipped", "fallback_cells", "zero_distance_witnesses") and value:
+            if key in ("skipped", "zero_distance_witnesses") and value:
                 return True
             if _has_skips(value):
                 return True

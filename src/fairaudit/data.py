@@ -36,6 +36,28 @@ def _readonly(a):
     return a
 
 
+def _int_codes(values, what):
+    """``values`` as an int array; a non-integral value, NaN too, is an error."""
+    a = np.asarray(values)
+    if a.dtype.kind == "f" and not (np.isfinite(a) & (np.trunc(a) == a)).all():
+        raise ValueError(f"{what} must be integers, not fractions or NaN")
+    return a.astype(int, copy=False)
+
+
+def cell_rows(key, n):
+    """Row indices of each cell ``0..n-1`` of a nonnegative integer key.
+
+    Cell ``c`` holds ``np.flatnonzero(key == c)``, in row order as a mask
+    selects them, so a mean or sum over its rows keeps the masked one's
+    bits. Rows keyed ``n`` or more fall in no cell. Several codes share one
+    key flattened, e.g. ``group * n_strata + stratum``.
+    """
+    key = np.asarray(key, dtype=int)
+    order = np.argsort(key, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=n))))
+    return [order[bounds[c] : bounds[c + 1]] for c in range(n)]
+
+
 @dataclass(frozen=True)
 class FeatureColumn:
     """One named feature column.
@@ -53,10 +75,13 @@ class FeatureColumn:
     def __post_init__(self):
         if self.kind not in (CONTINUOUS, CATEGORICAL):
             raise ValueError(f"unknown column kind {self.kind!r}")
-        vals = np.asarray(self.values, dtype=float if self.kind == CONTINUOUS else int)
+        if self.kind == CONTINUOUS:
+            vals = np.asarray(self.values, dtype=float)
+            if not np.isfinite(vals).all():
+                raise ValueError(f"column {self.name!r}: non-finite value")
+        else:
+            vals = _int_codes(self.values, f"column {self.name!r}")
         object.__setattr__(self, "values", _readonly(vals))
-        if self.kind == CONTINUOUS and not np.isfinite(vals).all():
-            raise ValueError(f"column {self.name!r}: non-finite value")
         if self.kind == CATEGORICAL and len(vals):
             if vals.min() < 0:
                 raise ValueError(f"column {self.name!r}: negative category code")
@@ -88,7 +113,7 @@ class SensitiveAttribute:
     group_labels: tuple[str, ...]
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=int)
+        vals = _int_codes(self.values, "group codes")
         object.__setattr__(self, "values", _readonly(vals))
         g = len(self.group_labels)
         if len(vals):
@@ -106,9 +131,6 @@ class SensitiveAttribute:
     @property
     def n_groups(self):
         return len(self.group_labels)
-
-    def mask(self, code):
-        return self.values == code
 
     def take(self, idx):
         # keeps labels/codes stable even if a group is absent in the subset
@@ -131,7 +153,7 @@ class Dataset:
             if len(col.values) != n:
                 raise ValueError(f"column {col.name!r} has length {len(col.values)}, expected {n}")
         if self.target is not None:
-            t = np.asarray(self.target, dtype=int)
+            t = _int_codes(self.target, "target")
             if len(t) != n:
                 raise ValueError("target length mismatch")
             if len(t) and not np.isin(t, (0, 1)).all():
@@ -190,7 +212,7 @@ class PredictionSet:
         if self.decisions is None and self.scores is None:
             raise ValueError("need decisions, scores, or both")
         if self.decisions is not None:
-            d = np.asarray(self.decisions, dtype=int)
+            d = _int_codes(self.decisions, "decisions")
             if len(d) and not np.isin(d, (0, 1)).all():
                 raise ValueError("decisions must be binary 0/1")
             object.__setattr__(self, "decisions", _readonly(d))
@@ -278,12 +300,20 @@ def _read_csv(path):
         except StopIteration:
             raise ParseError(f"{path}: empty file, no header row") from None
         rows = [row for row in reader if row]
-    seen = set()
-    for name in header:
-        if name in seen:
+    for i, name in enumerate(header):
+        if name in header[:i]:
             raise SchemaError(f"column {name!r} appears more than once in the header of {path}")
-        seen.add(name)
     return header, rows
+
+
+def _cells(rows, j, name):
+    """The stripped cells of column ``j``; a short row or blank cell is missing."""
+    cells = []
+    for i, row in enumerate(rows):
+        if j >= len(row) or row[j].strip() == "":
+            raise ParseError(f"row {i + 1}: missing value in column {name!r}")
+        cells.append(row[j].strip())
+    return cells
 
 
 def load_csv(path, schema, exclude=()):
@@ -301,14 +331,7 @@ def load_csv(path, schema, exclude=()):
         raise SchemaError("schema must name a 'sensitive' column")
     header, rows = _read_csv(path)
 
-    columns = {}
-    for j, name in enumerate(header):
-        cells = []
-        for i, row in enumerate(rows):
-            if j >= len(row) or row[j].strip() == "":
-                raise ParseError(f"row {i + 1}: missing value in column {name!r}")
-            cells.append(row[j].strip())
-        columns[name] = cells
+    columns = {name: _cells(rows, j, name) for j, name in enumerate(header)}
 
     sens_name = schema["sensitive"]
     target_name = schema.get("target")
@@ -393,8 +416,8 @@ def load_predictions(path, decisions=None, scores=None):
             continue
         if name not in header:
             raise SchemaError(f"prediction column {name!r} not found in {path}")
-        j = header.index(name)
-        out[role] = np.array([_parse_float(row[j].strip(), name, i + 1) for i, row in enumerate(rows)])
+        cells = _cells(rows, header.index(name), name)
+        out[role] = np.array([_parse_float(c, name, i + 1) for i, c in enumerate(cells)])
     return PredictionSet(out.get("decisions"), out.get("scores"))
 
 

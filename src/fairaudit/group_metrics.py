@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PredictionSet, SensitiveAttribute
+from .data import PredictionSet, cell_rows
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,9 @@ def compute_group_stats(ds, preds):
 
     Rates are quotients of per-group integer counts (``np.bincount``),
     equal bit for bit to the means of the 0/1 values they count. Score
-    means and AUCs are taken over each group's rows in row order, as a
-    per-group mask would select them, so they keep their bits too.
+    means and AUCs are taken over the rows of each (group, class) cell of
+    :func:`~fairaudit.data.cell_rows`, in row order, so they keep the bits
+    of per-group masked means too.
     """
     labels = ds.sensitive.group_labels
     codes, n_g = ds.sensitive.values, len(labels)
@@ -115,12 +116,7 @@ def compute_group_stats(ds, preds):
                 s["fnr"] = None if s["tpr"] is None else 1.0 - s["tpr"]
                 s["tnr"] = None if s["fpr"] is None else 1.0 - s["fpr"]
     if sc is not None and y is not None:
-        # row indices of each (group, class) cell, row order kept inside it
-        key = codes * 2 + y
-        cells = np.split(
-            np.argsort(key, kind="stable"),
-            np.cumsum(np.bincount(key, minlength=2 * n_g))[:-1],
-        )
+        cells = cell_rows(codes * 2 + y, 2 * n_g)
         for s, neg, pos in zip(stats, cells[0::2], cells[1::2]):
             rows = np.concatenate([neg, pos])
             s["mean_score_pos"] = _mean(sc[pos])
@@ -324,39 +320,28 @@ def conditional_demographic_parity(ds, preds, conditioning, min_count=30):
     """
     _require(ds, preds, (DECISIONS,))
     codes, labels = ds.column_codes(conditioning)
-    dec = preds.decisions
+    glabels = ds.sensitive.group_labels
+    cells = cell_rows(ds.sensitive.values * len(labels) + codes, len(glabels) * len(labels))
     strata, skipped, weights = {}, [], {}
     for s, slab in enumerate(labels):
-        m = codes == s
-        if not m.sum():
+        rows = cells[s :: len(labels)]  # this stratum's cell of every group
+        count = sum(len(r) for r in rows)
+        if not count:
             skipped.append(slab)
             continue
-        sub_vals, sub_reasons = [], {}
-        qualifying = True
-        for g, glab in enumerate(ds.sensitive.group_labels):
-            cell = m & ds.sensitive.mask(g)
-            cnt = int(cell.sum())
-            if cnt < min_count:
-                qualifying = False
-            if cnt == 0:
-                sub_vals.append(None)
-                sub_reasons[glab] = "empty cell"
-            else:
-                sub_vals.append(float(dec[cell].mean()))
         strata[slab] = make_report(
             f"demographic_parity|{conditioning}={slab}",
-            ds.sensitive.group_labels,
-            sub_vals,
-            sub_reasons,
+            glabels,
+            [_mean(preds.decisions[r]) for r in rows],
+            {glab: "empty cell" for glab, r in zip(glabels, rows) if not len(r)},
         )
-        if qualifying:
-            weights[slab] = int(m.sum())
+        if all(len(r) >= min_count for r in rows):
+            weights[slab] = count
         else:
             skipped.append(slab)
     if weights:
         max_gap = max(strata[s].gap for s in weights)
-        total = sum(weights.values())
-        wmean = sum(strata[s].gap * w for s, w in weights.items()) / total
+        wmean = sum(strata[s].gap * w for s, w in weights.items()) / sum(weights.values())
     else:
         max_gap = wmean = None
     return StratifiedReport(
@@ -405,28 +390,25 @@ def calibration_within_groups(ds, preds, bins=10, min_count=30):
     sc, y = preds.scores, ds.target
     idx = np.clip(np.searchsorted(edges, sc, side="right") - 1, 0, bins - 1)
     labels = ds.sensitive.group_labels
+    cells = cell_rows(ds.sensitive.values * bins + idx, len(labels) * bins)
     values, reasons, bin_detail, excluded = [], {}, {}, {}
     for g, lab in enumerate(labels):
-        m = ds.sensitive.mask(g)
         stats, skipped_bins, err = [], [], None
-        for b in range(bins):
-            cell = m & (idx == b)
-            cnt = int(cell.sum())
-            if cnt == 0:
+        for b, rows in enumerate(cells[g * bins : (g + 1) * bins]):
+            if not len(rows):
                 continue
             st = BinStat(
                 b,
                 float(edges[b]),
                 float(edges[b + 1]),
-                cnt,
-                float(sc[cell].mean()),
-                float(y[cell].mean()),
+                len(rows),
+                float(sc[rows].mean()),
+                float(y[rows].mean()),
             )
-            if cnt < min_count:
-                skipped_bins.append(b)
-                stats.append(st)
-                continue
             stats.append(st)
+            if len(rows) < min_count:
+                skipped_bins.append(b)
+                continue
             e = abs(st.empirical_rate - st.mean_score)
             err = e if err is None else max(err, e)
         bin_detail[lab] = stats
@@ -499,18 +481,18 @@ class ThresholdPolicy:
 def apply_threshold(preds, policy, groups, strata=None):
     """Threshold scores cell by cell: accept iff score >= cell threshold."""
     _require(None, preds, (SCORES,))
-    if isinstance(groups, SensitiveAttribute):
-        groups = groups.values
-    groups = np.asarray(groups, dtype=int)
-    if strata is not None:
-        strata = np.asarray(getattr(strata, "values", strata), dtype=int)
-    cell = np.stack([groups, groups if strata is None else strata], axis=1)
-    keys, first, inverse = np.unique(
-        cell, axis=0, return_index=True, return_inverse=True
-    )
-    # look cells up in row order, so a missing cell is reported as before
-    t = np.empty(len(keys))
-    for c in np.argsort(first):
-        t[c] = policy.threshold(keys[c, 0], None if strata is None else keys[c, 1])
+    groups = np.asarray(getattr(groups, "values", groups), dtype=int)
+    strata = None if strata is None else np.asarray(getattr(strata, "values", strata), dtype=int)
+    if (groups < 0).any() or (strata is not None and (strata < 0).any()):
+        raise ValueError("group and stratum codes must be nonnegative")
+    n_strata = 1 if strata is None else int(strata.max(initial=0)) + 1
+    key = groups if strata is None else groups * n_strata + strata
+    cells = cell_rows(key, int(key.max(initial=-1)) + 1)
+    t = np.empty(len(key))
+    # look cells up in order of their first row, so the first row whose
+    # cell the policy misses is the one reported
+    for c in sorted((c for c, rows in enumerate(cells) if len(rows)), key=lambda c: cells[c][0]):
+        g, s = divmod(c, n_strata)
+        t[cells[c]] = policy.threshold(g, None if strata is None else s)
     sc = preds.scores
-    return PredictionSet((sc >= t[inverse.reshape(-1)]).astype(int), sc)
+    return PredictionSet((sc >= t).astype(int), sc)

@@ -16,8 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group_metrics import _gap, _require, compute_group_stats
+from .data import cell_rows
+from .group_metrics import _gap, _mean, _require, compute_group_stats
 from .info_theory import JointTable, symmetric_uncertainty
+
+# equal-width score bins of the usefulness measure when there are no decisions
+SCORE_BINS = 10
 
 # the inputs each check needs, with the message raised when one is missing
 GAPS_NEEDS = (("target", "criteria gaps need the ground-truth target"),)
@@ -52,13 +56,13 @@ class CriteriaGaps:
         }
 
 
-def gaps(ds, preds, score_bins=10):
+def gaps(ds, preds):
     """Criteria gaps of one prediction set against one dataset."""
     _require(ds, preds, GAPS_NEEDS)
-    return _gaps(ds, preds, compute_group_stats(ds, preds), score_bins)
+    return _gaps(ds, preds, compute_group_stats(ds, preds))
 
 
-def _gaps(ds, preds, stats, score_bins=10):
+def _gaps(ds, preds, stats):
     # flags name groups in label order, so that row order cannot change them
     flags = []
     for s in sorted(stats, key=lambda s: s.label):
@@ -72,11 +76,9 @@ def _gaps(ds, preds, stats, score_bins=10):
         # score-based fallback: bin scores for the usefulness measure,
         # use mean score per group for the independence gap
         sc = preds.scores
-        indep = _gap(
-            [float(sc[ds.sensitive.mask(g)].mean()) if ds.sensitive.mask(g).any() else None
-             for g in range(ds.sensitive.n_groups)]
-        )
-        used = np.clip((sc * score_bins).astype(int), 0, score_bins - 1)
+        cells = cell_rows(ds.sensitive.values, ds.sensitive.n_groups)
+        indep = _gap([_mean(sc[rows]) for rows in cells])
+        used = np.clip((sc * SCORE_BINS).astype(int), 0, SCORE_BINS - 1)
         flags.append("usefulness computed on binned scores")
     sep = max(_gap([s.fpr for s in stats]), _gap([s.fnr for s in stats]))
     suff = max(_gap([s.ppv for s in stats]), _gap([s.npv for s in stats]))

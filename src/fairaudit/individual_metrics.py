@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from . import group_metrics, modeling
-from .data import CATEGORICAL, Dataset, PredictionSet, SensitiveAttribute
+from .data import CATEGORICAL, Dataset, PredictionSet, SensitiveAttribute, cell_rows
 
 EUCLIDEAN_STANDARDIZED = "euclidean_standardized"
 EUCLIDEAN_RAW = "euclidean_raw"
@@ -208,16 +208,13 @@ def similarity_weighted_disparity(ds, preds, dist=DistanceSpec()):
     )
     if ds.sensitive.n_groups != 2:
         raise ValueError("binary sensitive attribute required; intersect/recode first")
-    a = ds.sensitive.values
-    i1 = np.flatnonzero(a == 1)
-    i0 = np.flatnonzero(a == 0)
-    if len(i1) == 0 or len(i0) == 0:
+    rej0, acc0, rej1, acc1 = cell_rows(ds.sensitive.values * 2 + preds.decisions, 4)
+    n1, n0 = len(rej1) + len(acc1), len(rej0) + len(acc0)
+    if n1 == 0 or n0 == 0:
         raise ValueError("both groups must be nonempty")
     x = encode_for_distance(ds, dist)
-    pos = preds.decisions == 1
-    row_sums = _exp_neg_row_sums(x[i1[pos[i1]]], x[i0[~pos[i0]]])
-    row_sums += _exp_neg_row_sums(x[i1[~pos[i1]]], x[i0[pos[i0]]])
-    return math.fsum(row_sums) / (len(i1) * len(i0))
+    row_sums = _exp_neg_row_sums(x[acc1], x[rej0]) + _exp_neg_row_sums(x[rej1], x[acc0])
+    return math.fsum(row_sums) / (n1 * n0)
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,10 @@ class JointTable:
         y = np.asarray(y, dtype=int)
         if x.shape != y.shape:
             raise ValueError("paired vectors must have equal length")
+        if x.min(initial=0) < 0 or y.min(initial=0) < 0:
+            raise ValueError("codes must be nonnegative")
         g, h = x.max() + 1, y.max() + 1
-        counts = np.zeros((g, h))
-        np.add.at(counts, (x, y), 1.0)
-        return cls(counts)
+        return cls(np.bincount(x * h + y, minlength=g * h).reshape(g, h))
 
     @property
     def n(self):

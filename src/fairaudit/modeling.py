@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import CATEGORICAL, PredictionSet
+from .data import CATEGORICAL, PredictionSet, cell_rows
 from .group_metrics import ThresholdPolicy, apply_threshold
 
 FULL = "full"
@@ -447,10 +447,9 @@ def fit_dp_threshold_scores(scores, groups, n_groups, target, grid_size=100):
     rates = np.array([i / grid_size for i in range(grid_size + 1)])
     correct = np.zeros(len(rates), dtype=np.int64)
     thresholds, flags = {}, []  # per group: its threshold at every rate
-    for g in range(n_groups):
-        m = groups == g
-        order = np.argsort(scores[m])
-        sg, yg = scores[m][order], target[m][order]
+    for g, rows in enumerate(cell_rows(groups, n_groups)):
+        order = np.argsort(scores[rows])
+        sg, yg = scores[rows][order], target[rows][order]
         if len(sg) == 0:
             continue
         if sg[0] == sg[-1]:
@@ -500,17 +499,14 @@ def fit_cdp_threshold(ds, model, conditioning, grid_size=100, min_count=30):
     n_groups = ds.sensitive.n_groups
     glob = fit_dp_threshold_scores(scores, groups, n_groups, ds.target, grid_size)
     cells, fallback, flags = {}, [], list(glob.flags)
-    for s in range(len(labels)):
-        m = codes == s
-        if int(m.sum()) < min_count:
-            for g in range(n_groups):
-                cells[(g, s)] = glob.threshold(g)
-                fallback.append((g, s))
+    for s, rows in enumerate(cell_rows(codes, len(labels))):
+        sub = {}  # a stratum below min_count is not fitted: all its cells fall back
+        if len(rows) < min_count:
             flags.append(f"stratum {labels[s]!r} below min_count; global policy used")
-            continue
-        sub = fit_dp_threshold_scores(
-            scores[m], groups[m], n_groups, ds.target[m], grid_size
-        ).cells
+        else:
+            sub = fit_dp_threshold_scores(
+                scores[rows], groups[rows], n_groups, ds.target[rows], grid_size
+            ).cells
         for g in range(n_groups):
             if (g, None) in sub:
                 cells[(g, s)] = sub[(g, None)]

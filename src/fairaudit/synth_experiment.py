@@ -337,7 +337,6 @@ def synthetic_datasets(seed, n, noise_interpretation):
 
 def run_experiment(
     datasets=None,
-    approaches=APPROACHES,
     seed=0,
     split_fraction=0.7,
     noise_interpretation=None,
@@ -380,7 +379,7 @@ def run_experiment(
         if len(set(test_ds.target.tolist())) < 2:
             raise ValueError(f"{name}: the test split holds one class, so ROC AUC is undefined")
         cells = {}
-        for approach in approaches:
+        for approach in APPROACHES:
             try:
                 cells[approach] = evaluate_approach(
                     approach,

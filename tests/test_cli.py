@@ -183,6 +183,24 @@ class TestAudit:
         assert code == EXIT_DATA
         assert "column 'x' appears more than once" in capsys.readouterr().err
 
+    def test_non_integral_decisions_are_data_error(self, tmp_path, capsys):
+        # 0.7 and 1.9 were truncated to 0 and 1 and audited as decisions
+        data = tmp_path / "d.csv"
+        data.write_text("g,y,pred\nm,1,0.7\nf,0,1.9\nm,0,0\nf,1,1\n", encoding="utf-8")
+        schema = tmp_path / "s.cfg"
+        schema.write_text("sensitive = g\ntarget = y\n", encoding="utf-8")
+        code = main(
+            [
+                "audit",
+                "--data", str(data),
+                "--schema", str(schema),
+                "--predictions", "yhat=pred",
+                "--metrics", "dp",
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "decisions must be integers" in capsys.readouterr().err
+
     def test_undefined_everywhere_exit_partial(self, tmp_path, capsys):
         # nobody accepted: precision undefined in every group
         data = tmp_path / "d.csv"

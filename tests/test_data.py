@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairaudit.data import (
     CATEGORICAL,
@@ -10,6 +12,7 @@ from fairaudit.data import (
     PredictionSet,
     SchemaError,
     SensitiveAttribute,
+    cell_rows,
     intersect_sensitive,
     load_csv,
     load_predictions,
@@ -116,6 +119,72 @@ class TestLoadCsv:
     def test_load_predictions_empty_file(self, tmp_path):
         with pytest.raises(ParseError, match="empty file"):
             load_predictions(write(tmp_path, "d.csv", ""), decisions="pred")
+
+    @pytest.mark.parametrize("last_row", ["f", "f,", "f,  "], ids=["short", "empty", "blank"])
+    def test_load_predictions_missing_value(self, tmp_path, last_row):
+        # the same check and message as load_csv
+        p = write(tmp_path, "d.csv", f"g,pred\nm,1\n{last_row}\n")
+        with pytest.raises(ParseError, match=r"^row 2: missing value in column 'pred'$"):
+            load_predictions(p, decisions="pred")
+        with pytest.raises(ParseError, match=r"^row 2: missing value in column 'pred'$"):
+            load_csv(p, {"sensitive": "g"})
+
+
+class TestCellRows:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=60), st.integers(0, 9))
+    @example([], 0)
+    @example([], 3)
+    @example([2, 2, 0], 6)
+    @example([5, 1, 5, 0], 2)
+    def test_equals_flatnonzero_masks(self, key, n):
+        # empty keys, empty cells, n above key.max() + 1, and keys >= n
+        key = np.array(key, dtype=int)
+        cells = cell_rows(key, n)
+        assert len(cells) == n
+        for c, rows in enumerate(cells):
+            assert rows.dtype.kind == "i"
+            assert np.array_equal(rows, np.flatnonzero(key == c))
+
+    def test_negative_key_rejected(self):
+        with pytest.raises(ValueError):
+            cell_rows(np.array([0, -1]), 2)
+
+
+NON_INTEGRAL = [0.7, 1.9, -0.2, float("nan"), float("inf")]
+
+
+class TestNonIntegralCodesRejected:
+    """A non-integral code is an error, not truncated (0.7 would read as 0)."""
+
+    @pytest.mark.parametrize("bad", NON_INTEGRAL)
+    def test_decisions(self, bad):
+        with pytest.raises(ValueError, match="decisions must be integers"):
+            PredictionSet(decisions=np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("bad", NON_INTEGRAL)
+    def test_target(self, bad):
+        sa = SensitiveAttribute("g", np.array([0, 1]), ("a", "b"))
+        with pytest.raises(ValueError, match="target must be integers"):
+            Dataset((), sa, target=np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("bad", NON_INTEGRAL)
+    def test_group_codes(self, bad):
+        with pytest.raises(ValueError, match="group codes must be integers"):
+            SensitiveAttribute("g", np.array([bad, 1.0]), ("a", "b"))
+
+    @pytest.mark.parametrize("bad", NON_INTEGRAL)
+    def test_categorical_codes(self, bad):
+        with pytest.raises(ValueError, match="column 'c' must be integers"):
+            FeatureColumn("c", CATEGORICAL, np.array([bad, 1.0]), ("x", "y"))
+
+    def test_integral_floats_accepted(self):
+        sa = SensitiveAttribute("g", np.array([1.0, 0.0]), ("a", "b"))
+        ds = Dataset((FeatureColumn("c", CATEGORICAL, [0.0, 2.0]),), sa, target=[1.0, 0.0])
+        preds = PredictionSet(decisions=np.array([0.0, 1.0]))
+        for codes, want in ((sa.values, [1, 0]), (ds.features[0].values, [0, 2]),
+                            (ds.target, [1, 0]), (preds.decisions, [0, 1])):
+            assert codes.dtype.kind == "i" and codes.tolist() == want
 
 
 class TestContainers:

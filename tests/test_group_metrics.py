@@ -14,12 +14,19 @@ from fairaudit.data import (
     SensitiveAttribute,
 )
 from fairaudit.group_metrics import (
+    DECISIONS,
+    SCORES,
+    TARGET,
+    BinStat,
+    CalibrationReport,
     GroupStats,
     MetricReport,
+    StratifiedReport,
     ThresholdPolicy,
     _auc_scores,
     _average_ranks,
     _compound,
+    _require,
     accuracy_parity,
     apply_threshold,
     auc_parity,
@@ -455,6 +462,15 @@ class TestApplyThreshold:
         for i in range(n):
             assert out.decisions[i] == (1 if s[i] >= cells[(a[i], st[i])] else 0)
 
+    @pytest.mark.parametrize("groups, strata", [([1, 0], [-1, 1]), ([-1, 0], None)])
+    def test_negative_codes_rejected(self, groups, strata):
+        # flattened as group * n_strata + stratum, (1, -1) would read as (0, 1)
+        policy = ThresholdPolicy({(g, s): 0.5 for g in (-1, 0, 1) for s in (-1, 1, None)})
+        preds = PredictionSet(scores=np.array([0.2, 0.8]))
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            apply_threshold(preds, policy, np.array(groups),
+                            None if strata is None else np.array(strata))
+
 
 def test_report_json_envelope():
     ds, preds = from_counts([(40, 60, 0, 0), (20, 80, 0, 0)])
@@ -534,7 +550,7 @@ def old_compute_group_stats(ds, preds):
     dec = preds.decisions if preds is not None else None
     sc = preds.scores if preds is not None else None
     for g, label in enumerate(ds.sensitive.group_labels):
-        m = ds.sensitive.mask(g)
+        m = ds.sensitive.values == g
         stats = {"label": label, "count": int(m.sum())}
         if y is not None:
             stats["base_rate"] = _old_mean(y[m])
@@ -726,3 +742,140 @@ class TestAverageRanks:
     def test_auc_equals_rankdata_auc(self, s, seed):
         y = np.random.default_rng(seed).integers(0, 2, len(s))
         assert _auc_scores(y, s) == _rankdata_auc_scores(y, s)
+
+
+# ---------------------------------------------------------------------------
+# Per-stratum and per-bin cells against the mask loops they replaced
+# ---------------------------------------------------------------------------
+# Verbatim copies of the mask-per-cell implementations (renamed; the
+# removed ``ds.sensitive.mask(g)`` is spelled ``ds.sensitive.values == g``).
+# The row-cell versions take each cell's rows in row order, so their
+# reports must be equal to these exactly.
+
+
+def _old_conditional_demographic_parity(ds, preds, conditioning, min_count=30):
+    _require(ds, preds, (DECISIONS,))
+    codes, labels = ds.column_codes(conditioning)
+    dec = preds.decisions
+    strata, skipped, weights = {}, [], {}
+    for s, slab in enumerate(labels):
+        m = codes == s
+        if not m.sum():
+            skipped.append(slab)
+            continue
+        sub_vals, sub_reasons = [], {}
+        qualifying = True
+        for g, glab in enumerate(ds.sensitive.group_labels):
+            cell = m & (ds.sensitive.values == g)
+            cnt = int(cell.sum())
+            if cnt < min_count:
+                qualifying = False
+            if cnt == 0:
+                sub_vals.append(None)
+                sub_reasons[glab] = "empty cell"
+            else:
+                sub_vals.append(float(dec[cell].mean()))
+        strata[slab] = make_report(
+            f"demographic_parity|{conditioning}={slab}",
+            ds.sensitive.group_labels,
+            sub_vals,
+            sub_reasons,
+        )
+        if qualifying:
+            weights[slab] = int(m.sum())
+        else:
+            skipped.append(slab)
+    if weights:
+        max_gap = max(strata[s].gap for s in weights)
+        total = sum(weights.values())
+        wmean = sum(strata[s].gap * w for s, w in weights.items()) / total
+    else:
+        max_gap = wmean = None
+    return StratifiedReport(
+        "conditional_demographic_parity", strata, max_gap, wmean, skipped
+    )
+
+
+def _old_calibration_within_groups(ds, preds, bins=10, min_count=30):
+    _require(ds, preds, (SCORES, TARGET))
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    sc, y = preds.scores, ds.target
+    idx = np.clip(np.searchsorted(edges, sc, side="right") - 1, 0, bins - 1)
+    labels = ds.sensitive.group_labels
+    values, reasons, bin_detail, excluded = [], {}, {}, {}
+    for g, lab in enumerate(labels):
+        m = ds.sensitive.values == g
+        stats, skipped_bins, err = [], [], None
+        for b in range(bins):
+            cell = m & (idx == b)
+            cnt = int(cell.sum())
+            if cnt == 0:
+                continue
+            st = BinStat(
+                b,
+                float(edges[b]),
+                float(edges[b + 1]),
+                cnt,
+                float(sc[cell].mean()),
+                float(y[cell].mean()),
+            )
+            if cnt < min_count:
+                skipped_bins.append(b)
+                stats.append(st)
+                continue
+            stats.append(st)
+            e = abs(st.empirical_rate - st.mean_score)
+            err = e if err is None else max(err, e)
+        bin_detail[lab] = stats
+        excluded[lab] = skipped_bins
+        values.append(err)
+        if err is None:
+            reasons[lab] = "no bin meets min_count"
+    rep = make_report("calibration_within_groups", labels, values, reasons)
+    return CalibrationReport(rep, bin_detail, excluded)
+
+
+@st.composite
+def cell_inputs(draw):
+    """Groups x strata (or score bins) with empty groups, empty strata and
+    empty cells drawn on purpose, tied scores on the bin edges, and a
+    ``min_count`` at 0, 1 or one below, at or above a real cell's size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_groups, n_strata = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    n = draw(st.sampled_from([0, 1, 3, 12, 40, 250]))
+    groups = rng.choice(draw(st.lists(st.integers(0, n_groups - 1), min_size=1, unique=True)), n)
+    strata = rng.choice(draw(st.lists(st.integers(0, n_strata - 1), min_size=1, unique=True)), n)
+    if n_strata > 1 and n and draw(st.booleans()):  # empty one (group, stratum) cell
+        strata[(groups == groups[0]) & (strata == strata[0])] = (strata[0] + 1) % n_strata
+    ties = draw(st.booleans())
+    scores = rng.choice([0.0, 0.1, 0.25, 0.5, 0.7, 1.0], n) if ties else rng.random(n)
+    y = (rng.random(n) < scores).astype(int)
+    sizes = np.bincount(groups * n_strata + strata, minlength=n_groups * n_strata)
+    c = int(rng.choice(sizes[sizes > 0])) if n else 0
+    min_count = draw(st.sampled_from([0, 1, max(c - 1, 0), c, c + 1]))
+    sa = SensitiveAttribute("g", groups, tuple(f"g{i}" for i in range(n_groups)))
+    col = FeatureColumn("s", CATEGORICAL, strata, tuple(f"s{i}" for i in range(n_strata)))
+    ds = Dataset((col,), sa, target=y)
+    preds = PredictionSet(decisions=rng.integers(0, 2, n), scores=scores)
+    return ds, preds, min_count, draw(st.sampled_from([1, 2, 3, 10]))
+
+
+@pytest.mark.filterwarnings("ignore:dataset has 0 rows")
+class TestCellsAgainstMaskLoops:
+    @settings(max_examples=400, deadline=None)
+    @given(cell_inputs(), st.sampled_from(["s", "Y"]))
+    def test_conditional_demographic_parity(self, inputs, conditioning):
+        ds, preds, min_count, _ = inputs
+        new = conditional_demographic_parity(ds, preds, conditioning, min_count)
+        old = _old_conditional_demographic_parity(ds, preds, conditioning, min_count)
+        assert new.to_json_dict() == old.to_json_dict()
+
+    @settings(max_examples=400, deadline=None)
+    @given(cell_inputs())
+    def test_calibration_within_groups(self, inputs):
+        ds, preds, min_count, bins = inputs
+        new = calibration_within_groups(ds, preds, bins, min_count)
+        old = _old_calibration_within_groups(ds, preds, bins, min_count)
+        assert new.to_json_dict() == old.to_json_dict()

@@ -1,19 +1,28 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from fairaudit.data import Dataset, PredictionSet, SensitiveAttribute
 from fairaudit.group_metrics import (
+    _gap,
     balance_negative_class,
     balance_positive_class,
     calibration_within_groups,
+    compute_group_stats,
 )
 from fairaudit.incompatibility import (
+    CriteriaGaps,
+    _gaps,
     check_sep_suff_exclusion,
     gaps,
     separation_implies_dp_gap,
     sufficiency_implies_dp_gap,
 )
-from tests.test_group_metrics import from_counts, scored
+from fairaudit.info_theory import symmetric_uncertainty
+from tests.test_group_metrics import audit_inputs, from_counts, scored
+from tests.test_info_theory import _old_from_codes
 
 
 class TestGaps:
@@ -199,3 +208,56 @@ class TestKleinbergTriple:
             cal = calibration_within_groups(ds, preds, bins=5, min_count=1)
             cal_err = max(v for v in cal.report.groups.values() if v is not None)
             assert max(bp, bn, cal_err) > 0.0
+
+
+# ``_gaps`` as it was written with a boolean mask per group in the score
+# fallback, kept verbatim as the reference (renamed; ``score_bins`` was
+# always 10; ``ds.sensitive.mask(g)``, since removed, is spelled
+# ``ds.sensitive.values == g``; ``JointTable.from_codes`` is its old
+# ``np.add.at`` copy).
+
+
+def _old_gaps(ds, preds, stats, score_bins=10):
+    # flags name groups in label order, so that row order cannot change them
+    flags = []
+    for s in sorted(stats, key=lambda s: s.label):
+        for attr in ("fpr", "fnr", "ppv", "npv"):
+            if getattr(s, attr) is None:
+                flags.append(f"{attr} undefined for group {s.label}")
+    if preds.decisions is not None:
+        indep = _gap([s.acceptance for s in stats])
+        used = preds.decisions
+    else:
+        # score-based fallback: bin scores for the usefulness measure,
+        # use mean score per group for the independence gap
+        sc = preds.scores
+        indep = _gap(
+            [float(sc[ds.sensitive.values == g].mean()) if (ds.sensitive.values == g).any()
+             else None
+             for g in range(ds.sensitive.n_groups)]
+        )
+        used = np.clip((sc * score_bins).astype(int), 0, score_bins - 1)
+        flags.append("usefulness computed on binned scores")
+    sep = max(_gap([s.fpr for s in stats]), _gap([s.fnr for s in stats]))
+    suff = max(_gap([s.ppv for s in stats]), _gap([s.npv for s in stats]))
+    base = _gap([s.base_rate for s in stats])
+    useful = symmetric_uncertainty(_old_from_codes(ds.target, used))
+    return CriteriaGaps(indep, sep, suff, base, useful, tuple(flags))
+
+
+@pytest.mark.filterwarnings("ignore:dataset has 0 rows", "ignore:both marginals are degenerate")
+class TestGapsAgainstMaskLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(audit_inputs())
+    def test_equal_to_old(self, inputs):
+        # empty groups, scores-only predictions (the fallback) and no rows
+        ds, preds = inputs
+        assume(ds.target is not None)
+        stats = compute_group_stats(ds, preds)
+        try:
+            old = _old_gaps(ds, preds, stats)
+        except ValueError as exc:  # no rows: nothing to count
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                _gaps(ds, preds, stats)
+            return
+        assert _gaps(ds, preds, stats).to_json_dict() == old.to_json_dict()

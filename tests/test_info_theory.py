@@ -137,3 +137,36 @@ def test_relabeling_invariance():
     u1 = symmetric_uncertainty_codes(x, y)
     u2 = symmetric_uncertainty_codes(2 - x, 1 - y)  # permute both code sets
     assert u1 == pytest.approx(u2, abs=1e-12)
+
+
+# ``JointTable.from_codes`` as it was written with ``np.add.at``, kept
+# verbatim as the reference for the flat-key ``np.bincount`` (only the
+# name differs, and ``cls`` is spelled ``JointTable``).
+
+
+def _old_from_codes(x, y):
+    x = np.asarray(x, dtype=int)
+    y = np.asarray(y, dtype=int)
+    if x.shape != y.shape:
+        raise ValueError("paired vectors must have equal length")
+    g, h = x.max() + 1, y.max() + 1
+    counts = np.zeros((g, h))
+    np.add.at(counts, (x, y), 1.0)
+    return JointTable(counts)
+
+
+class TestFromCodesAgainstAddAt:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 4)), min_size=1, max_size=80))
+    def test_counts_equal(self, pairs):
+        x, y = np.array(pairs).T
+        new, old = JointTable.from_codes(x, y), _old_from_codes(x, y)
+        assert new.counts.dtype == old.counts.dtype
+        assert new.counts.shape == old.counts.shape
+        assert np.array_equal(new.counts, old.counts)
+
+    @pytest.mark.parametrize("x, y", [([0, 1], [1, -1]), ([-1, 0], [0, 1])])
+    def test_negative_codes_rejected(self, x, y):
+        # np.add.at wrapped -1 round to the last row or column
+        with pytest.raises(ValueError, match="codes must be nonnegative"):
+            JointTable.from_codes(x, y)
