@@ -188,8 +188,7 @@ class Dataset:
             raise ValueError(
                 f"column {name!r} is continuous; bin it first (see quantile_bin)"
             )
-        labels = col.labels or tuple(str(c) for c in range(int(col.values.max(initial=0)) + 1))
-        return col.values, labels
+        return col.values, col.code_labels
 
     def take(self, idx):
         idx = np.asarray(idx)
@@ -438,10 +437,12 @@ def intersect_sensitive(attrs, name=None):
             raise ValueError("sensitive attributes have mismatched lengths")
     if len(attrs) == 1:
         return attrs[0]
-    combo = np.stack([a.values for a in attrs], axis=1)
-    cells = sorted({tuple(row) for row in combo})
-    cell_code = {cell: k for k, cell in enumerate(cells)}
-    codes = np.array([cell_code[tuple(row)] for row in combo], dtype=int)
+    # a mixed-radix key orders the cells as their component-code tuples do
+    dims = tuple(a.n_groups for a in attrs)
+    keys, codes = np.unique(
+        np.ravel_multi_index(tuple(a.values for a in attrs), dims), return_inverse=True
+    )
+    cells = zip(*(c.tolist() for c in np.unravel_index(keys, dims)))
     labels = tuple(
         "&".join(a.group_labels[c] for a, c in zip(attrs, cell)) for cell in cells
     )

@@ -5,6 +5,17 @@ iterations from zero weights, so training is bit-reproducible: no random
 init, no minibatches. Linearly separable rows have no maximum-likelihood
 fit; the model then reports ``converged=False``.
 
+The logistic link is ``1 / (1 + e)`` where ``z >= 0`` and ``e / (1 + e)``
+elsewhere, with ``e = exp(-|z|)``: the same exponent and quotients as
+evaluating each sign's rows apart, so the scores are the same bits, and
+``exp`` never overflows. The mean log loss sums ``max(v, 0) +
+log1p(exp(-|v|))`` with ``v = -z`` on positive rows and ``z`` on
+negative ones. numpy's vectorised ``exp`` and ``log1p`` may round a term
+differently from libm in its last bit, so the loss can differ in its last
+bits from ``np.logaddexp``. The loss only decides whether a Newton step is
+accepted, against a slack of 1e-13 of the loss, and the fitted models are
+the same bits as with ``np.logaddexp`` on every design tested.
+
 Mitigation strategies (``STRATEGIES`` maps each ``train --strategy``
 spelling to one of them):
 
@@ -257,6 +268,7 @@ def _standardisation(raw):
 
 
 def _fit_encoder(ds, feature_names, include_sensitive):
+    """The encoder fitted on ``ds``, and ``ds`` encoded by it."""
     columns = []
     for name in feature_names:
         col = ds.feature(name)
@@ -265,14 +277,14 @@ def _fit_encoder(ds, feature_names, include_sensitive):
             levels = tuple(int(c) for c in np.unique(col.values))
         columns.append((name, col.kind, levels))
     sens_levels = tuple(int(c) for c in np.unique(ds.sensitive.values))
-    means, scales = _standardisation(
-        _raw_design(ds, tuple(columns), include_sensitive, sens_levels)
-    )
+    raw = _raw_design(ds, tuple(columns), include_sensitive, sens_levels)
+    means, scales = _standardisation(raw)
     labels = {c.name: c.code_labels for c in ds.features if c.kind == CATEGORICAL}
-    return _Encoder(
+    enc = _Encoder(
         tuple(columns), include_sensitive, sens_levels, means, scales,
         labels, ds.sensitive.group_labels,
     )
+    return enc, (raw - means) / scales
 
 
 def _encode(ds, enc):
@@ -303,12 +315,8 @@ class ClassifierModel:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def log_loss_gradient(x, y, weights, intercept):
@@ -367,8 +375,7 @@ def train(ds, spec=MitigationSpec(), hyper=TrainConfig(), seed=0):
     if not names and not spec.uses_sensitive:
         raise ValueError("all features dropped; the model would be degenerate")
 
-    enc = _fit_encoder(ds, names, spec.uses_sensitive)
-    x = _encode(ds, enc)
+    enc, x = _fit_encoder(ds, names, spec.uses_sensitive)
     y = ds.target.astype(float)
     w, b, epochs, gnorm = _newton(x, y, hyper)
     z = x @ w + b
@@ -378,7 +385,8 @@ def train(ds, spec=MitigationSpec(), hyper=TrainConfig(), seed=0):
 
 
 def _mean_log_loss(z, y):
-    return float(np.logaddexp(0.0, np.where(y == 1, -z, z)).mean())
+    v = np.where(y == 1, -z, z)
+    return float((np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))).mean())
 
 
 def _newton(x, y, hyper):

@@ -22,18 +22,19 @@ percentages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import causal
 from .causal import Assignment, Dag, NoiseSpec, Scm
 from .data import split
 from .group_metrics import _auc_scores, demographic_parity
-from .individual_metrics import flip_assessment
+from .individual_metrics import FlipReport, flip_assessment
 from .info_theory import symmetric_uncertainty_codes
 from .modeling import (
     CDP_POST,
     DP_POST,
     FTU,
+    FULL,
     SUPPRESSION,
     MitigationSpec,
     fit_policy,
@@ -298,14 +299,42 @@ def approach_spec(approach, conditioning=None, synthetic=True):
     raise ValueError(f"unknown approach {approach!r}")
 
 
-def evaluate_approach(name, train_ds, test_ds, conditioning, seed, synthetic=True):
+def _training_spec(spec):
+    """The part of ``spec`` that :func:`train` reads.
+
+    Post-processing strategies train the model that ``full`` trains; only
+    the threshold policy fitted afterwards tells them apart.
+    """
+    if spec.strategy in (DP_POST, CDP_POST):
+        return replace(spec, strategy=FULL, conditioning=None)
+    return spec
+
+
+def _flip_report(model, policy, ds):
+    """:func:`flip_assessment` of the model's decisions on ``ds``.
+
+    Decisions that read neither the attribute nor a per-group policy cannot
+    change when a binary attribute flips, so they are not scored again.
+    """
+    if policy is None and not model.trained_with_sensitive and ds.sensitive.n_groups == 2:
+        return FlipReport(0.0, 1.0)
+    return flip_assessment(ds, lambda d: predict(model, d, policy))
+
+
+def evaluate_approach(name, train_ds, test_ds, conditioning, seed, synthetic=True, fits=None):
     """Train one approach and measure the four table metrics on the test part.
 
     ``test_ds`` must hold both classes (``run_experiment`` checks it once
-    per dataset): the ROC AUC is undefined otherwise.
+    per dataset): the ROC AUC is undefined otherwise. ``fits`` keeps the
+    models trained on ``train_ds`` by their :func:`_training_spec`, so
+    approaches that train the same model share one fit.
     """
     spec = approach_spec(name, conditioning, synthetic)
-    model = train(train_ds, spec, seed=derive_seed(seed, f"train:{name}"))
+    fits = {} if fits is None else fits
+    key = _training_spec(spec)
+    if key not in fits:
+        fits[key] = train(train_ds, spec, seed=derive_seed(seed, f"train:{name}"))
+    model = replace(fits[key], spec=spec)
     policy = fit_policy(train_ds, model)
     preds = predict(model, test_ds, policy)
     a_codes = test_ds.sensitive.values
@@ -313,7 +342,7 @@ def evaluate_approach(name, train_ds, test_ds, conditioning, seed, synthetic=Tru
     # post-processing emits decisions, not scores: rank on the final output
     basis = "scores" if policy is None else "decisions"
     auc = _auc_scores(test_ds.target, getattr(preds, basis))
-    flip = flip_assessment(test_ds, lambda d: predict(model, d, policy))
+    flip = _flip_report(model, policy, test_ds)
     dp = demographic_parity(test_ds, preds)
     ratio = 0.0 if dp.ratio is None else dp.ratio
     return ApproachMetrics(
@@ -347,7 +376,8 @@ def run_experiment(
     ``datasets`` is a sequence of ``(name, Dataset, cdp_conditioning)``
     triples; by default the two built-in synthetic datasets are generated
     (under the calibrated noise reading unless one is forced) and
-    conditioned on X3 for CDP. All randomness derives from ``seed``. An
+    conditioned on X3 for CDP. All randomness derives from ``seed``. CDP
+    and DP train the same model, so each dataset fits it once. An
     approach that raises ``ValueError`` (e.g. it drops every feature) is
     reported as a :class:`FailedApproach` and the rest of the table is
     still computed; a test split that holds one class, where no approach
@@ -378,7 +408,7 @@ def run_experiment(
         )
         if len(set(test_ds.target.tolist())) < 2:
             raise ValueError(f"{name}: the test split holds one class, so ROC AUC is undefined")
-        cells = {}
+        cells, fits = {}, {}
         for approach in APPROACHES:
             try:
                 cells[approach] = evaluate_approach(
@@ -388,6 +418,7 @@ def run_experiment(
                     conditioning,
                     derive_seed(seed, f"cell:{name}:{approach}"),
                     synthetic,
+                    fits,
                 )
             except ValueError as exc:
                 cells[approach] = FailedApproach(str(exc))

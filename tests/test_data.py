@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -262,6 +264,90 @@ class TestIntersect:
         a2 = SensitiveAttribute.from_values("t", ["y", "y", "o"])
         with pytest.raises(ValueError):
             intersect_sensitive([a1, a2])
+
+
+def _old_intersect_sensitive(attrs, name=None):
+    # verbatim copy of the per-row version the vectorised one replaced
+    attrs = list(attrs)
+    if not attrs:
+        raise ValueError("need at least one attribute")
+    n = len(attrs[0].values)
+    for a in attrs:
+        if len(a.values) != n:
+            raise ValueError("sensitive attributes have mismatched lengths")
+    if len(attrs) == 1:
+        return attrs[0]
+    combo = np.stack([a.values for a in attrs], axis=1)
+    cells = sorted({tuple(row) for row in combo})
+    cell_code = {cell: k for k, cell in enumerate(cells)}
+    codes = np.array([cell_code[tuple(row)] for row in combo], dtype=int)
+    labels = tuple(
+        "&".join(a.group_labels[c] for a, c in zip(attrs, cell)) for cell in cells
+    )
+    return SensitiveAttribute(name or "&".join(a.name for a in attrs), codes, labels)
+
+
+@st.composite
+def _attribute_lists(draw):
+    """1-3 attributes of 2-4 groups over the same rows; any group may be
+    absent, so cells of the cross-product can be empty."""
+    n = draw(st.integers(0, 40))
+    attrs = []
+    for j in range(draw(st.integers(1, 3))):
+        g = draw(st.integers(2, 4))
+        used = draw(st.integers(1, g))  # codes drawn from the first `used` groups
+        values = draw(st.lists(st.integers(0, used - 1), min_size=n, max_size=n))
+        attrs.append(SensitiveAttribute(f"a{j}", np.array(values, dtype=int),
+                                        tuple(f"a{j}g{k}" for k in range(g))))
+    return attrs
+
+
+class TestIntersectAgainstRowLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(_attribute_lists(), st.sampled_from([None, "combo"]))
+    def test_same_attribute(self, attrs, name):
+        try:
+            old = _old_intersect_sensitive(attrs, name)
+        except ValueError as exc:  # a single occupied cell is no attribute
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                intersect_sensitive(attrs, name)
+            return
+        new = intersect_sensitive(attrs, name)
+        assert new.name == old.name
+        assert new.group_labels == old.group_labels
+        assert new.values.dtype == old.values.dtype
+        assert np.array_equal(new.values, old.values)
+        if len(attrs) == 1:
+            assert new is attrs[0]
+
+
+class TestColumnCodes:
+    @pytest.mark.filterwarnings("ignore:dataset has 0 rows")
+    def test_empty_column_without_labels_has_no_stratum(self):
+        from fairaudit.group_metrics import conditional_demographic_parity
+
+        ds = Dataset(
+            (FeatureColumn("c", CATEGORICAL, np.array([], dtype=int)),),
+            SensitiveAttribute("g", np.array([], dtype=int), ("a", "b")),
+            target=np.array([], dtype=int),
+        )
+        codes, labels = ds.column_codes("c")
+        assert len(codes) == 0 and labels == ()
+        report = conditional_demographic_parity(ds, PredictionSet(np.array([], dtype=int)), "c")
+        assert report.to_json_dict() == {
+            "metric": "conditional_demographic_parity",
+            "strata": {},
+            "max_gap": None,
+            "weighted_mean_gap": None,
+            "skipped": [],
+        }
+
+    def test_unlabelled_column_reads_its_codes(self):
+        ds = toy_dataset(6)
+        col = FeatureColumn("c", CATEGORICAL, np.array([0, 2, 2, 0, 1, 2]))
+        ds = Dataset(ds.features + (col,), ds.sensitive, ds.target)
+        codes, labels = ds.column_codes("c")
+        assert codes.tolist() == [0, 2, 2, 0, 1, 2] and labels == ("0", "1", "2")
 
 
 def toy_dataset(n, seed=0):

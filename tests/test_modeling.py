@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize
 
 from fairaudit.data import (
@@ -17,6 +18,7 @@ from fairaudit.data import (
     SensitiveAttribute,
 )
 from fairaudit.group_metrics import ThresholdPolicy, apply_threshold, demographic_parity
+from fairaudit import modeling
 from fairaudit.individual_metrics import flip_assessment
 from fairaudit.modeling import (
     CDP_POST,
@@ -29,6 +31,9 @@ from fairaudit.modeling import (
     TrainConfig,
     _encode,
     _Encoder,
+    _fit_encoder,
+    _mean_log_loss,
+    _sigmoid,
     fit_cdp_threshold,
     fit_dp_threshold,
     fit_dp_threshold_scores,
@@ -489,6 +494,17 @@ def _designs(draw, separable=False):
     return ds, strategy
 
 
+def _margin_relabelled(ds, gap):
+    """``ds`` relabelled by a margin of ``gap`` on its first (continuous)
+    feature: no maximum-likelihood fit exists."""
+    v = ds.features[0].values
+    y = (v > np.median(v)).astype(int)
+    shifted = FeatureColumn(
+        ds.features[0].name, CONTINUOUS, v + np.where(y == 1, gap, -gap)
+    )
+    return Dataset((shifted,) + ds.features[1:], ds.sensitive, target=y)
+
+
 class TestNewtonAgainstBruteForce:
     @settings(max_examples=60, deadline=None)
     @given(_designs())
@@ -517,15 +533,7 @@ class TestNewtonAgainstBruteForce:
     @given(_designs(separable=True), st.floats(0.05, 1.0))
     def test_separable_rows_are_reported(self, case, gap):
         ds, strategy = case
-        # relabel by a margin on the first continuous feature: no
-        # maximum-likelihood fit exists
-        v = ds.features[0].values
-        y = (v > np.median(v)).astype(int)
-        shifted = FeatureColumn(
-            ds.features[0].name, CONTINUOUS, v + np.where(y == 1, gap, -gap)
-        )
-        ds = Dataset((shifted,) + ds.features[1:], ds.sensitive, target=y)
-        model = train(ds, MitigationSpec(strategy))
+        model = train(_margin_relabelled(ds, gap), MitigationSpec(strategy))
         assert not model.converged
         assert np.all(np.isfinite(model.weights)) and np.isfinite(model.intercept)
         assert np.isfinite(model.final_grad_norm)
@@ -559,6 +567,113 @@ class TestNewtonAgainstBruteForce:
         doc["final_grad_norm"] = 1e-3
         path.write_text(json.dumps(doc))
         assert not load_model(path)[0].converged
+
+
+# ---------------------------------------------------------------------------
+# Link, loss and Newton solver against the versions they replaced
+# ---------------------------------------------------------------------------
+# Verbatim copies of the masked logistic link, the ``np.logaddexp`` loss and
+# the solver that used them (renamed). The link must agree bit for bit; the
+# loss may differ in its last bits, and the fitted models must not differ.
+
+
+def _masked_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _old_log_loss_gradient(x, y, weights, intercept):
+    p = _masked_sigmoid(x @ weights + intercept)
+    r = p - y
+    return x.T @ r / len(y), float(r.mean())
+
+
+def _logaddexp_mean_log_loss(z, y):
+    return float(np.logaddexp(0.0, np.where(y == 1, -z, z)).mean())
+
+
+def _old_newton(x, y, hyper):
+    xd = np.hstack([x, np.ones((len(y), 1))])
+    theta, epochs = np.zeros(xd.shape[1]), 0
+    loss = _logaddexp_mean_log_loss(xd @ theta, y)
+    while True:
+        gw, gb = _old_log_loss_gradient(x, y, theta[:-1], theta[-1])
+        gnorm = float(np.sqrt(np.square(gw).sum() + gb * gb))
+        if gnorm <= hyper.tol or epochs >= hyper.max_epochs:
+            return theta[:-1], float(theta[-1]), epochs, gnorm
+        grad, p = np.append(gw, gb), _masked_sigmoid(xd @ theta)
+        hess = xd.T @ (xd * (p * (1.0 - p))[:, None]) / len(y)
+        step = -np.linalg.lstsq(hess, grad, rcond=None)[0]
+        t, slope, slack = 1.0, float(grad @ step), 1e-13 * loss
+        while (new := _logaddexp_mean_log_loss(xd @ (theta + t * step), y)) > (
+            loss + 1e-4 * t * slope + slack
+        ):
+            if t < 1e-12:  # no descent along the Newton direction
+                return theta[:-1], float(theta[-1]), epochs, gnorm
+            t /= 2
+        theta, loss, epochs = theta + t * step, new, epochs + 1
+
+
+_TINY = np.finfo(float).tiny
+_LINK_EDGES = np.array([
+    0.0, -0.0, 709.0, -709.0, 710.0, -710.0, 745.0, -745.0, 746.0, -746.0,
+    5e-324, -5e-324, _TINY, -_TINY, _TINY / 3, -_TINY / 3, 36.7, -36.7,
+    np.finfo(float).max, -np.finfo(float).max, np.inf, -np.inf,
+])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestLinkLossAndSolverAgainstOld:
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 300), elements=st.floats(allow_nan=False)))
+    def test_sigmoid_bit_identical(self, z):
+        for v in (z, np.concatenate([_LINK_EDGES, z]), np.concatenate([z, _LINK_EDGES])[::2]):
+            assert np.array_equal(_bits(_sigmoid(v)), _bits(_masked_sigmoid(v)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(np.float64, st.integers(1, 300), elements=st.floats(-800, 800)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_loss_agrees_to_rounding(self, z, seed):
+        # every term is >= 0, so a few ulp per term bound the mean's error
+        y = np.random.default_rng(seed).integers(0, 2, len(z)).astype(float)
+        assert _mean_log_loss(z, y) == pytest.approx(
+            _logaddexp_mean_log_loss(z, y), rel=16 * np.finfo(float).eps, abs=1e-300
+        )
+
+    @staticmethod
+    def _assert_same_fit(ds, strategy):
+        spec = MitigationSpec(strategy)
+        enc, x = _fit_encoder(ds, list(ds.feature_names), spec.uses_sensitive)
+        assert np.array_equal(x, _encode(ds, enc))  # the design is built once
+        new = train(ds, spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modeling, "_newton", _old_newton)
+            old = train(ds, spec)
+        assert np.array_equal(_bits(new.weights), _bits(old.weights))
+        assert _bits(new.intercept) == _bits(old.intercept)
+        assert new.epochs == old.epochs
+        assert _bits(new.final_grad_norm) == _bits(old.final_grad_norm)
+        assert new.converged == old.converged
+
+    @settings(max_examples=100, deadline=None)
+    @given(_designs())
+    def test_train_bit_identical(self, case):
+        self._assert_same_fit(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_designs(separable=True), st.floats(0.05, 1.0), st.booleans())
+    def test_train_bit_identical_when_separable(self, case, gap, relabel):
+        ds, strategy = case
+        self._assert_same_fit(_margin_relabelled(ds, gap) if relabel else ds, strategy)
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,35 @@ import json
 import numpy as np
 import pytest
 
+import fairaudit.synth_experiment as se
 from fairaudit.causal import sample
 from fairaudit.cli import main
+from fairaudit.data import Dataset, SensitiveAttribute, split
+from fairaudit.individual_metrics import flip_assessment
 from fairaudit.info_theory import symmetric_uncertainty_codes
+from fairaudit.modeling import (
+    CDP_POST,
+    DP_POST,
+    FTU,
+    FULL,
+    SUPPRESSION,
+    MitigationSpec,
+    fit_policy,
+    predict,
+    train,
+)
+from fairaudit.seeding import derive_seed
 from fairaudit.synth_experiment import (
     APPROACHES,
     REFERENCE_U,
     SynthConfig,
+    _flip_report,
+    approach_spec,
     build_synth_scm,
     calibrate_noise_interpretation,
     generate,
     run_experiment,
+    synthetic_datasets,
 )
 
 
@@ -144,6 +162,64 @@ class TestRunExperiment:
         assert json.dumps(r1.to_json_dict(), sort_keys=True) == json.dumps(
             r2.to_json_dict(), sort_keys=True
         )
+
+
+class TestOneFitPerModel:
+    def test_train_runs_once_per_distinct_model(self, monkeypatch):
+        # per dataset: FTU, Supp_l, Supp_h, and one model shared by CDP and DP
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].strategy)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(se, "train", counted)
+        run_experiment(seed=3, n=1500)
+        assert calls == [FTU, SUPPRESSION, SUPPRESSION, CDP_POST] * 2
+
+    def test_shared_model_equals_its_own_fit(self, monkeypatch):
+        fitted = []
+
+        def recorded(ds, model):
+            fitted.append((ds, model))
+            return fit_policy(ds, model)
+
+        monkeypatch.setattr(se, "fit_policy", recorded)
+        run_experiment(seed=3, n=1500)
+        post = [(ds, m) for ds, m in fitted if m.spec.strategy in (DP_POST, CDP_POST)]
+        assert [m.spec.strategy for _, m in post] == [CDP_POST, DP_POST] * 2
+        for ds, model in post:
+            own = train(ds, model.spec)
+            assert own.spec == model.spec
+            assert np.array_equal(own.weights, model.weights)
+            assert own.intercept == model.intercept
+            assert (own.epochs, own.final_grad_norm, own.converged) == (
+                model.epochs, model.final_grad_norm, model.converged
+            )
+            assert own.encoder.to_json_dict() == model.encoder.to_json_dict()
+            assert own.suppression == model.suppression
+
+    @pytest.mark.parametrize("noise", ["std", "variance"])
+    def test_flip_shortcut_equals_flip_assessment(self, noise):
+        for name, ds, conditioning in synthetic_datasets(5, 3000, noise):
+            train_ds, test_ds = split(ds, fraction=0.7, seed=derive_seed(5, f"split:{name}"))
+            specs = [approach_spec(a, conditioning) for a in APPROACHES]
+            for spec in specs + [MitigationSpec(FULL)]:  # FULL reads A without a policy
+                model = train(train_ds, spec)
+                policy = fit_policy(train_ds, model)
+                assert _flip_report(model, policy, test_ds) == flip_assessment(
+                    test_ds, lambda d: predict(model, d, policy)
+                )
+
+    def test_multi_group_attribute_is_still_refused(self):
+        ds = generate(SynthConfig(n=600, seed=4))
+        groups = np.arange(ds.n) % 3
+        three = Dataset(
+            ds.features, SensitiveAttribute("A", groups, ("a", "b", "c")), ds.target
+        )
+        model = train(three, approach_spec("FTU"))
+        with pytest.raises(ValueError, match="non-binary"):
+            _flip_report(model, None, three)
 
 
 # sha256 of (experiment.csv, experiment.json) written by
