@@ -92,7 +92,7 @@ def _cdp(a):
 
 def _flip(a):
     rep = individual_metrics.flip_assessment(
-        a.ds, lambda d: modeling.predict(a.model, d, a.policy)
+        a.ds, lambda d: modeling.predict(a.model, d, a.policy), decisions=a.model_preds
     )
     return {
         "metric": "flip",
@@ -242,6 +242,8 @@ def cmd_audit(args):
     }
     inputs = SimpleNamespace(
         ds=ds, preds=preds, model=model, policy=policy, args=args,
+        # the model's own decisions, unless preds came from --predictions
+        model_preds=None if pred_cols else preds,
         stats=group_metrics.compute_group_stats(ds, preds),
         dist=individual_metrics.DistanceSpec(
             "euclidean_raw" if args.distance == "raw" else "euclidean_standardized"

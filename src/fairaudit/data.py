@@ -243,11 +243,7 @@ class PredictionSet:
 
 def _code_first_appearance(raw):
     seen = {}
-    codes = np.empty(len(raw), dtype=int)
-    for i, v in enumerate(raw):
-        if v not in seen:
-            seen[v] = len(seen)
-        codes[i] = seen[v]
+    codes = np.array([seen.setdefault(v, len(seen)) for v in raw], dtype=int)
     return codes, tuple(seen)
 
 
@@ -307,12 +303,35 @@ def _read_csv(path):
 
 def _cells(rows, j, name):
     """The stripped cells of column ``j``; a short row or blank cell is missing."""
-    cells = []
-    for i, row in enumerate(rows):
-        if j >= len(row) or row[j].strip() == "":
-            raise ParseError(f"row {i + 1}: missing value in column {name!r}")
-        cells.append(row[j].strip())
+    try:
+        cells = [row[j].strip() for row in rows]
+    except IndexError:  # a short row
+        cells = [""]
+    if "" in cells:
+        i = next(i for i, row in enumerate(rows) if j >= len(row) or not row[j].strip())
+        raise ParseError(f"row {i + 1}: missing value in column {name!r}")
     return cells
+
+
+def _numbers(cells):
+    """``cells`` parsed by ``float`` in one pass, or None if one is not a number."""
+    try:
+        return np.array(list(map(float, cells)), dtype=float)
+    except ValueError:
+        return None
+
+
+def _finite(values, cells, name):
+    """``values``, the :func:`_numbers` of continuous column ``name``, once
+    every one is finite.
+
+    A column that failed is walked cell by cell, only to raise
+    :func:`_parse_float`'s error for its first bad row.
+    """
+    if values is None or not np.isfinite(values).all():
+        for i, c in enumerate(cells):
+            _parse_float(c, name, i + 1)
+    return values
 
 
 def load_csv(path, schema, exclude=()):
@@ -323,6 +342,10 @@ def load_csv(path, schema, exclude=()):
     columns become continuous). Missing values and non-finite numbers
     (``nan``, ``inf``) are rejected outright: the metrics downstream have no
     sound semantics under silent imputation.
+    Each column is stripped once and, unless declared categorical only,
+    parsed by ``float`` once, which also decides whether an undeclared
+    column is continuous. Only a column that fails is walked again cell by cell, to
+    name its first bad row in the error.
     ``exclude`` names columns to ignore (e.g. prediction columns handled by
     :func:`load_predictions`).
     """
@@ -348,24 +371,14 @@ def load_csv(path, schema, exclude=()):
         if name == sens_name or name == target_name or name in exclude:
             continue
         cells = columns[name]
-        if name in declared_cont:
-            kind = CONTINUOUS
-        elif name in declared_cat:
-            kind = CATEGORICAL
+        # a column declared both ways is continuous
+        values = _numbers(cells) if name in declared_cont or name not in declared_cat else None
+        if values is not None or name in declared_cont:
+            features.append(FeatureColumn(name, CONTINUOUS, _finite(values, cells, name)))
         else:
-            kind = CONTINUOUS if _all_numeric(cells) else CATEGORICAL
-        if kind == CONTINUOUS:
-            vals = np.array([_parse_float(c, name, i + 1) for i, c in enumerate(cells)])
-            features.append(FeatureColumn(name, CONTINUOUS, vals))
-        else:
-            codes, labels = _code_first_appearance(cells)
-            features.append(FeatureColumn(name, CATEGORICAL, codes, labels))
+            features.append(FeatureColumn(name, CATEGORICAL, *_code_first_appearance(cells)))
 
-    sens_cells = columns[sens_name]
-    if sens_cells:
-        sensitive = SensitiveAttribute.from_values(sens_name, sens_cells)
-    else:
-        sensitive = SensitiveAttribute(sens_name, np.empty(0, dtype=int), ())
+    sensitive = SensitiveAttribute(sens_name, *_code_first_appearance(columns[sens_name]))
 
     target = None
     if target_name is not None:
@@ -374,23 +387,12 @@ def load_csv(path, schema, exclude=()):
     return Dataset(tuple(features), sensitive, target, target_name or "Y")
 
 
-def _all_numeric(cells):
-    for c in cells:
-        try:
-            float(c)
-        except ValueError:
-            return False
-    return True
-
-
 def _parse_target(cells, positive):
     if positive is not None:
-        return np.array([1 if c == positive else 0 for c in cells], dtype=int)
-    out = np.empty(len(cells), dtype=int)
-    for i, c in enumerate(cells):
-        if c in ("0", "1"):
-            out[i] = int(c)
-        else:
+        return np.array([c == positive for c in cells], dtype=int)
+    values = _numbers(cells)
+    if values is None or not ((values == 0.0) | (values == 1.0)).all():
+        for i, c in enumerate(cells):
             try:
                 v = float(c)
             except ValueError:
@@ -400,8 +402,7 @@ def _parse_target(cells, positive):
                     f"row {i + 1}: unseen target value {c!r} (expected 0/1; "
                     "declare 'positive' in the schema for labelled targets)"
                 )
-            out[i] = int(v)
-    return out
+    return values.astype(int)
 
 
 def load_predictions(path, decisions=None, scores=None):
@@ -416,7 +417,7 @@ def load_predictions(path, decisions=None, scores=None):
         if name not in header:
             raise SchemaError(f"prediction column {name!r} not found in {path}")
         cells = _cells(rows, header.index(name), name)
-        out[role] = np.array([_parse_float(c, name, i + 1) for i, c in enumerate(cells)])
+        out[role] = _finite(_numbers(cells), cells, name)
     return PredictionSet(out.get("decisions"), out.get("scores"))
 
 

@@ -317,7 +317,12 @@ def conditional_demographic_parity(ds, preds, conditioning, min_count=30):
     The conditioning column must be categorical (bin continuous columns
     first with :func:`fairaudit.data.quantile_bin`); conditioning on the
     target column name reproduces the separation rates stratum by stratum.
+    A stratum enters ``max_gap`` and ``weighted_mean_gap`` only when each
+    group holds at least ``min_count`` of its rows, so ``min_count`` must
+    be at least 1: an empty group has no rate to compare.
     """
+    if min_count < 1:
+        raise ValueError(f"min_count must be at least 1, got {min_count}")
     _require(ds, preds, (DECISIONS,))
     codes, labels = ds.column_codes(conditioning)
     glabels = ds.sensitive.group_labels

@@ -5,11 +5,20 @@ feature space; no universally right one exists, so the distance is
 pluggable. The default is Euclidean distance on z-score-standardised
 features (categoricals one-hot encoded first), which at least removes
 arbitrary units; raw Euclidean and user-weighted variants are available.
+
+The pairwise scans run on every CPU the process may use: the kNN search
+of :func:`consistency` through the KD-tree's own ``workers``, and the row
+sums of :func:`similarity_weighted_disparity` in threads over contiguous
+chunks of rows, since cdist, exp and the sums release the GIL. Each row's
+neighbours and each row's sum are computed on their own, whatever the
+chunk, so both metrics give the same bits for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +90,54 @@ def encode_for_distance(ds, spec, include_sensitive=False):
 
 # Pair elements (pairs x encoded columns) that one block of a pairwise scan
 # holds at once; bounds the memory of the kNN search and of the disparity
-# independently of n.
+# independently of n. Threads that scan at the same time share it.
 _PAIR_BLOCK = 1 << 21
+
+
+def _usable_cpus():
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Threads for the pairwise scans: the CPUs this process may run on.
+_WORKERS = _usable_cpus()
+
+
+def _lex_order(x):
+    """``np.lexsort(x.T[::-1])``: the row order of ``x`` (one column or
+    more) sorted lexicographically, first column first.
+
+    When the first column has no ties, its argsort is that order already,
+    and one column is sorted instead of every column.
+    """
+    order = np.argsort(x[:, 0])
+    first = x[order, 0]
+    if (first[1:] == first[:-1]).any():
+        order = np.lexsort(x.T[::-1])
+    return order
+
+
+def _distinct_rows(x):
+    """``np.unique(x, axis=0, return_inverse=True, return_counts=True)``
+    from one sort: the distinct rows in lexicographic order, each row's
+    index among them, and their multiplicities. Rows equal under ``==``
+    are one row, so -0.0 and 0.0 merge, as in ``np.unique``.
+    """
+    n, cols = x.shape
+    if not cols:
+        return x[:1], np.zeros(n, dtype=int), np.array([n])[:n]
+    order = _lex_order(x)
+    xs = x[order]
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.any(xs[1:] != xs[:-1], axis=1, out=first[1:])
+    inv = np.empty(n, dtype=int)
+    inv[order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    return xs[starts], inv, np.diff(starts, append=n)
 
 
 def _knn_means(x, dec, k):
@@ -95,12 +150,11 @@ def _knn_means(x, dec, k):
     distinct rows (Friedman, Bentley & Finkel 1977) lists candidates until
     the list covers that radius, inflated a little because the tree rounds
     differently from cdist. Membership is decided on cdist distances alone:
-    cdist of the row differences against the origin repeats cdist's own
+    cdist of the origin against the row differences repeats cdist's own
     per-pair arithmetic, so the neighbourhoods are exactly those of a
     brute-force scan.
     """
-    uniq, inv, cnt = np.unique(x, axis=0, return_inverse=True, return_counts=True)
-    inv = inv.reshape(-1)
+    uniq, inv, cnt = _distinct_rows(x)
     m, cols = uniq.shape
     pos = np.bincount(inv, weights=dec, minlength=m)
     nb_count = np.empty(m)
@@ -131,14 +185,17 @@ def _knn_means(x, dec, k):
             if width == m:
                 settle(rows, np.broadcast_to(np.arange(m), (len(rows), m)), cdist(uniq[rows], uniq))
                 continue
-            t, cand = tree.query(uniq[rows], k=width)
+            t, cand = tree.query(uniq[rows], k=width, workers=_WORKERS)
             if width == k + 2:  # first pass, over every distinct row
                 radius[rows] = t[:, k] * (1 + 1e-9) + 1e-12
             short = t[:, -1] <= radius[rows]
             unsettled.append(rows[short])
             rows, cand = rows[~short], cand[~short]
-            diff = (uniq[rows][:, None, :] - uniq[cand]).reshape(-1, cols)
-            settle(rows, cand, cdist(diff, np.zeros((1, cols))).reshape(cand.shape))
+            diff = uniq.take(cand, axis=0)
+            np.subtract(uniq[rows][:, None, :], diff, out=diff)
+            # one row against many: cdist's fast orientation, same bits
+            d = cdist(np.zeros((1, cols)), diff.reshape(-1, cols))
+            settle(rows, cand, d.reshape(cand.shape))
         pending = np.concatenate(unsettled)
         width *= 2
     return (nb_pos[inv] - dec) / nb_count[inv]
@@ -165,16 +222,36 @@ def consistency(ds, preds, k=5, dist=DistanceSpec()):
 
 
 def _exp_neg_row_sums(left, right):
-    """``exp(-cdist(left, right)).sum(axis=1)`` as a list, in one reused
-    block of at most ``_PAIR_BLOCK`` pair elements.
+    """``exp(-cdist(left, right)).sum(axis=1)`` as a list.
 
     ``right`` is put in canonical (lexicographic) order first, so a row's
     sum depends on the rows' contents alone: not on their order, and not on
-    the block, since each row is reduced on its own.
+    the block or thread, since each row is reduced on its own. The left
+    rows are split into contiguous chunks, one thread each, and the threads
+    share one block of ``_PAIR_BLOCK`` pair elements (fewer threads run
+    when a left row's pairs would not fit in their share), so they hold no
+    more than one thread did. A chunk must fill its share at least once,
+    so small inputs start no thread.
     """
     if right.shape[1]:  # without columns every row is the same empty row
-        right = right[np.lexsort(right.T[::-1])]
-    step = max(1, _PAIR_BLOCK // max(right.size, 1))
+        right = right[_lex_order(right)]
+    row_size = max(right.size, 1)
+    threads = max(1, min(_WORKERS, _PAIR_BLOCK // row_size))
+    step = max(1, _PAIR_BLOCK // threads // row_size)
+    chunks = min(threads, len(left) // step)
+    if chunks < 2:
+        return _block_row_sums(left, right, max(1, _PAIR_BLOCK // row_size))
+    bounds = np.linspace(0, len(left), chunks + 1).astype(int)
+    with ThreadPoolExecutor(chunks) as pool:
+        parts = pool.map(
+            lambda lo, hi: _block_row_sums(left[lo:hi], right, step), bounds[:-1], bounds[1:]
+        )
+        return [s for part in parts for s in part]
+
+
+def _block_row_sums(left, right, step):
+    """:func:`_exp_neg_row_sums` of ``left``, ``step`` rows at a time in
+    one reused block."""
     block = np.empty(min(step, len(left)) * len(right))
     sums = []
     for start in range(0, len(left), step):
@@ -229,7 +306,7 @@ class FlipReport:
             raise ValueError("flip_rate and flip_consistency must sum to 1")
 
 
-def flip_assessment(ds, model, flip_map=None):
+def flip_assessment(ds, model, flip_map=None, decisions=None):
     """Fraction of decisions that change when the sensitive attribute flips.
 
     ``model`` is any callable mapping a Dataset to binary decisions (an
@@ -240,7 +317,8 @@ def flip_assessment(ds, model, flip_map=None):
 
     Both directions are reported: ``flip_rate`` is the mean absolute
     decision change, ``flip_consistency`` its complement (1 = no decision
-    ever changes).
+    ever changes). ``decisions`` are ``model``'s decisions on ``ds`` when
+    the caller already has them; ``model`` then scores the flipped rows only.
     """
     g = ds.sensitive.n_groups
     if flip_map is None:
@@ -259,7 +337,7 @@ def flip_assessment(ds, model, flip_map=None):
         ds.target,
         ds.target_name,
     )
-    y0 = _decisions_of(model(ds))
+    y0 = _decisions_of(model(ds) if decisions is None else decisions)
     y1 = _decisions_of(model(flipped))
     rate = float(np.mean(np.abs(y0.astype(float) - y1.astype(float)))) if ds.n else 0.0
     return FlipReport(rate, 1.0 - rate)
@@ -311,8 +389,10 @@ def lipschitz_audit(ds, preds, dist=DistanceSpec(), constant=1.0, max_pairs=1000
     (with replacement) under the given seed. Also reports the empirical
     minimal constant (the largest outcome/feature distance ratio seen).
     """
-    if constant <= 0:
-        raise ValueError("the Lipschitz constant must be positive")
+    if not 0 < constant < math.inf:
+        raise ValueError(f"the Lipschitz constant must be positive and finite, got {constant}")
+    if max_pairs < 1:
+        raise ValueError(f"max_pairs must be at least 1, got {max_pairs}")
     if preds is None:
         raise ValueError("lipschitz_audit needs decisions or scores")
     if preds.n != ds.n:

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairaudit import group_metrics, incompatibility
+from fairaudit import group_metrics, incompatibility, individual_metrics, modeling
 from fairaudit.causal import save_scm
+from fairaudit.data import load_csv, load_predictions, load_schema
+from fairaudit.individual_metrics import flip_assessment
 from fairaudit.cli import (
     ALIASES,
     EXIT_DATA,
@@ -316,6 +318,30 @@ class TestAllRule:
     ):
         assert self.audit(toy_csv, tmp_path, metric, predictions) == (code, None)
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "metric, extra, message",
+        [
+            ("cdp", ("--condition-on", "x", "--min-count", "0"),
+             "min_count must be at least 1, got 0"),
+            ("cdp", ("--condition-on", "x", "--min-count", "-4"),
+             "min_count must be at least 1, got -4"),
+            ("lipschitz_audit", ("--lipschitz-constant", "nan"),
+             "the Lipschitz constant must be positive and finite, got nan"),
+            ("lipschitz_audit", ("--max-pairs", "0"), "max_pairs must be at least 1, got 0"),
+            ("lipschitz_audit", ("--max-pairs", "-3"), "max_pairs must be at least 1, got -3"),
+        ],
+    )
+    def test_invalid_parameter_is_a_data_error(
+        self, toy_csv, tmp_path, capsys, metric, extra, message
+    ):
+        predictions = "yhat=pred,score=score"
+        assert self.audit(toy_csv, tmp_path, metric, predictions, *extra) == (EXIT_DATA, None)
+        assert f"data error: {message}" in capsys.readouterr().err
+        code, doc = self.audit(toy_csv, tmp_path, "all", predictions, *extra)
+        assert code == EXIT_PARTIAL
+        name = ALIASES.get(metric, metric)
+        assert doc[name] == {"metric": name, "skipped": [message]}
 
 
 class TestSynth:
@@ -913,6 +939,41 @@ class TestPinnedAuditReports:
             monkeypatch.setattr(module, "compute_group_stats", counted)
         assert self.audit(files, files[1], "r2.json") == EXIT_OK
         assert len(calls) == 1
+
+    # The pairwise metrics split their rows over threads; a small block
+    # makes even these 2000 rows start every thread.
+    @pytest.mark.parametrize("workers", sorted({1, 2, 3, 8, individual_metrics._usable_cpus()}))
+    @pytest.mark.parametrize("block", [1 << 12, 1 << 21])
+    def test_same_bytes_for_any_worker_count(self, files, monkeypatch, workers, block):
+        monkeypatch.setattr(individual_metrics, "_WORKERS", workers)
+        monkeypatch.setattr(individual_metrics, "_PAIR_BLOCK", block)
+        out = f"w{workers}-b{block}.json"
+        assert self.audit(files, files[1], out) == EXIT_OK
+        assert sha256(files[0] / out) == PINNED_AUDIT["json"]
+
+    def test_flip_scores_the_unflipped_rows_once(self, files, monkeypatch):
+        root, _, schema, model_path, decisions = files
+        real, calls = modeling.predict, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(modeling, "predict", counted)
+        assert self.audit(files, files[1], "m.json", "--metrics", "flip") == EXIT_OK
+        assert len(calls) == 2  # the audited decisions, reused by flip; the flipped rows
+        calls.clear()
+        # With --predictions the audited decisions are the CSV's, so flip
+        # scores the unflipped rows with the model itself.
+        code = self.audit(files, decisions, "p.json", "--metrics", "flip", "--predictions", "yhat=pred")
+        assert code == EXIT_OK and len(calls) == 2
+        flip = json.loads((root / "p.json").read_text())["metrics"]["flip"]
+        assert flip == json.loads((root / "m.json").read_text())["metrics"]["flip"]
+        ds = load_csv(decisions, load_schema(schema), exclude=("pred",))
+        model, policy = modeling.load_model(model_path)
+        csv_decisions = load_predictions(decisions, "pred")
+        wrong = flip_assessment(ds, lambda d: real(model, d, policy), decisions=csv_decisions)
+        assert wrong.flip_rate != flip["flip_rate"]
 
 
 def _same_report(got, want, path="report"):

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -14,6 +15,7 @@ from fairaudit.data import (
     PredictionSet,
     SchemaError,
     SensitiveAttribute,
+    _read_csv,
     cell_rows,
     intersect_sensitive,
     load_csv,
@@ -404,3 +406,246 @@ class TestQuantileBin:
         binned = quantile_bin(ds, "x", bins=2)
         with pytest.raises(ValueError):
             quantile_bin(binned, "x", bins=2)
+
+
+# Verbatim copies of the per-cell CSV loader that column-at-a-time parsing
+# replaced (renamed; ``_read_csv`` is unchanged and shared). Valid files must
+# load to bit-equal values, the same kinds, labels and codes; invalid files
+# must raise the same exception class with the same message.
+
+
+def _old_code_first_appearance(raw):
+    seen = {}
+    codes = np.empty(len(raw), dtype=int)
+    for i, v in enumerate(raw):
+        if v not in seen:
+            seen[v] = len(seen)
+        codes[i] = seen[v]
+    return codes, tuple(seen)
+
+
+def _old_parse_float(cell, column, row):
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ParseError(
+            f"row {row}: cell {cell!r} in continuous column {column!r} is not numeric"
+        ) from None
+    if not math.isfinite(value):
+        raise ParseError(f"row {row}: cell {cell!r} in column {column!r} is not finite")
+    return value
+
+
+def _old_cells(rows, j, name):
+    cells = []
+    for i, row in enumerate(rows):
+        if j >= len(row) or row[j].strip() == "":
+            raise ParseError(f"row {i + 1}: missing value in column {name!r}")
+        cells.append(row[j].strip())
+    return cells
+
+
+def _old_load_csv(path, schema, exclude=()):
+    if "sensitive" not in schema:
+        raise SchemaError("schema must name a 'sensitive' column")
+    header, rows = _read_csv(path)
+
+    columns = {name: _old_cells(rows, j, name) for j, name in enumerate(header)}
+
+    sens_name = schema["sensitive"]
+    target_name = schema.get("target")
+    for role, name in (("sensitive", sens_name), ("target", target_name)):
+        if name is not None and name not in columns:
+            raise SchemaError(f"{role} column {name!r} not found in {path}")
+    declared_cont = set(schema.get("continuous", ()))
+    declared_cat = set(schema.get("categorical", ()))
+    for name in declared_cont | declared_cat:
+        if name not in columns:
+            raise SchemaError(f"schema names unknown column {name!r}")
+
+    features = []
+    for name in header:
+        if name == sens_name or name == target_name or name in exclude:
+            continue
+        cells = columns[name]
+        if name in declared_cont:
+            kind = CONTINUOUS
+        elif name in declared_cat:
+            kind = CATEGORICAL
+        else:
+            kind = CONTINUOUS if _old_all_numeric(cells) else CATEGORICAL
+        if kind == CONTINUOUS:
+            vals = np.array([_old_parse_float(c, name, i + 1) for i, c in enumerate(cells)])
+            features.append(FeatureColumn(name, CONTINUOUS, vals))
+        else:
+            codes, labels = _old_code_first_appearance(cells)
+            features.append(FeatureColumn(name, CATEGORICAL, codes, labels))
+
+    sens_cells = columns[sens_name]
+    if sens_cells:
+        codes, labels = _old_code_first_appearance([str(v) for v in sens_cells])
+        sensitive = SensitiveAttribute(sens_name, codes, labels)
+    else:
+        sensitive = SensitiveAttribute(sens_name, np.empty(0, dtype=int), ())
+
+    target = None
+    if target_name is not None:
+        target = _old_parse_target(columns[target_name], schema.get("positive"))
+
+    return Dataset(tuple(features), sensitive, target, target_name or "Y")
+
+
+def _old_all_numeric(cells):
+    for c in cells:
+        try:
+            float(c)
+        except ValueError:
+            return False
+    return True
+
+
+def _old_parse_target(cells, positive):
+    if positive is not None:
+        return np.array([1 if c == positive else 0 for c in cells], dtype=int)
+    out = np.empty(len(cells), dtype=int)
+    for i, c in enumerate(cells):
+        if c in ("0", "1"):
+            out[i] = int(c)
+        else:
+            try:
+                v = float(c)
+            except ValueError:
+                v = None
+            if v not in (0.0, 1.0):
+                raise ValueError(
+                    f"row {i + 1}: unseen target value {c!r} (expected 0/1; "
+                    "declare 'positive' in the schema for labelled targets)"
+                )
+            out[i] = int(v)
+    return out
+
+
+def _old_load_predictions(path, decisions=None, scores=None):
+    if decisions is None and scores is None:
+        raise ValueError("name a decisions column, a scores column, or both")
+    header, rows = _read_csv(path)
+    out = {}
+    for role, name in (("decisions", decisions), ("scores", scores)):
+        if name is None:
+            continue
+        if name not in header:
+            raise SchemaError(f"prediction column {name!r} not found in {path}")
+        cells = _old_cells(rows, header.index(name), name)
+        out[role] = np.array([_old_parse_float(c, name, i + 1) for i, c in enumerate(cells)])
+    return PredictionSet(out.get("decisions"), out.get("scores"))
+
+
+# CSV tokens as written to the file. Padding, signs, exponents, underscores,
+# non-ASCII digits, nan/inf, overflow, blank cells and quoted fields (one
+# holding a comma); "1,5" unquoted is two cells, which makes a row long.
+_TOKENS = (
+    "0", "1", "-0", "+1", " 1 ", "1.0", "0e0", "2.5", " -3.25 ", "1e3", "-1E-2", ".5", "5.",
+    "1_000", "1__0", "١٢", "٣.٥", "nan", "NaN", " inf ", "-Infinity",
+    "1e500", "", "  ", "a", " b ", "x y", "é", '"1,5"', '" 3 "', '"q"', '""', "0x10",
+    "1,5", "True",
+)
+_NAMES = ("A", "B", "C", "D", "E")
+
+
+@st.composite
+def csv_files(draw):
+    """A header, rows of mixed tokens, and a schema that may name any column."""
+    header = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
+    if draw(st.integers(0, 9)) == 0:  # a repeated name is a schema error
+        header.append(header[0])
+    numeric = draw(st.booleans())  # mostly-numeric cells, so columns parse
+    pool = _TOKENS[:13] if numeric else _TOKENS
+    token = st.one_of(
+        st.sampled_from(pool),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(("0", "1")),
+    )
+    width = len(header)
+    rows = draw(st.lists(
+        st.lists(token, min_size=width, max_size=width)
+        | st.lists(token, min_size=0, max_size=width + 1),
+        max_size=12,
+    ))
+    text = ",".join(header) + "\n" + "".join(",".join(r) + "\n" for r in rows)
+    # mostly columns of the header, sometimes one it lacks
+    names = st.sampled_from(header) | st.sampled_from(_NAMES)
+    schema = {}
+    if draw(st.integers(0, 9)) != 9:
+        schema["sensitive"] = draw(names)
+    if draw(st.booleans()):
+        schema["target"] = draw(names)
+        if draw(st.booleans()):
+            schema["positive"] = draw(st.sampled_from(("1", "a", "0")))
+    for key in ("continuous", "categorical"):
+        if draw(st.booleans()):
+            schema[key] = draw(st.lists(names, max_size=2, unique=True))
+    exclude = tuple(draw(st.lists(names, max_size=2, unique=True)))
+    predictions = (draw(names), draw(st.none() | names))
+    if draw(st.booleans()):
+        predictions = predictions[::-1]
+    return text, schema, exclude, predictions
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, KeyError) as exc:  # ParseError, SchemaError too
+        return type(exc), str(exc)
+
+
+def _same_floats(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:dataset has 0 rows")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")  # 1e300 decisions
+class TestColumnParserAgainstCellLoop:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("oracle") / "d.csv"
+
+    @settings(max_examples=600, deadline=None)
+    @given(csv_files())
+    @example(("A,B\n1,2\n1,\n", {"sensitive": "A"}, (), ("B", None)))
+    @example(("A,B,C\n0,nan,x\n1,abc,y\n", {"sensitive": "A", "continuous": ["B"]}, (), (None, "B")))
+    @example(("A,B\n0,1_000\n1, ١٢ \n", {"sensitive": "A"}, (), (None, "B")))
+    @example(("A,B\nm,1.0\nf,-0\n", {"sensitive": "A", "target": "B"}, (), ("B", None)))
+    @example(("A,B\nm,1\nf,2\n", {"sensitive": "A", "target": "B"}, (), (None, None)))
+    @example(("A,B\n", {"sensitive": "A", "target": "B"}, (), ("B", "B")))
+    @example(("A,B\n", {"sensitive": "B", "continuous": ["A"], "categorical": ["A"]}, (), ("A", None)))
+    @example(("A,B\n2,x\n", {"sensitive": "B", "continuous": ["A"], "categorical": ["A"]}, (), ("A", None)))
+    def test_same_dataset_or_error(self, path, case):
+        text, schema, exclude, (decisions, scores) = case
+        path.write_text(text, encoding="utf-8")
+        want = _outcome(_old_load_csv, path, schema, exclude)
+        got = _outcome(load_csv, path, schema, exclude)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert isinstance(got, Dataset)
+            assert len(got.features) == len(want.features)
+            for g, w in zip(got.features, want.features):
+                assert (g.name, g.kind, g.labels) == (w.name, w.kind, w.labels)
+                assert _same_floats(g.values, w.values)
+            for g, w in ((got.sensitive, want.sensitive),):
+                assert (g.name, g.group_labels) == (w.name, w.group_labels)
+                assert _same_floats(g.values, w.values)
+            assert got.target_name == want.target_name
+            assert (got.target is None) == (want.target is None)
+            if want.target is not None:
+                assert _same_floats(got.target, want.target)
+        want = _outcome(_old_load_predictions, path, decisions, scores)
+        got = _outcome(load_predictions, path, decisions, scores)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            for role in ("decisions", "scores"):
+                g, w = getattr(got, role), getattr(want, role)
+                assert (g is None) == (w is None)
+                if w is not None:
+                    assert _same_floats(g, w)

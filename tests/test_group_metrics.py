@@ -357,6 +357,19 @@ class TestConditionalDemographicParity:
         assert cdp.max_gap == pytest.approx(dp.gap, abs=1e-15)
         assert len(cdp.strata) == 1
 
+    @pytest.mark.parametrize("min_count", [0, -2])
+    def test_min_count_below_one_rejected(self, min_count):
+        # Stratum r1 has no group-b row. Let in, it would enter both
+        # aggregates with a gap of 0.0, taken over group a alone.
+        sa = SensitiveAttribute("g", np.array([0, 1, 0, 0]), ("a", "b"))
+        col = FeatureColumn("r", CATEGORICAL, np.array([0, 0, 1, 1]), ("r0", "r1"))
+        ds = Dataset((col,), sa)
+        preds = PredictionSet(decisions=np.array([1, 0, 1, 0]))
+        with pytest.raises(ValueError, match=f"min_count must be at least 1, got {min_count}"):
+            conditional_demographic_parity(ds, preds, "r", min_count)
+        rep = conditional_demographic_parity(ds, preds, "r", 1)
+        assert rep.skipped == ["r1"] and rep.max_gap == rep.weighted_mean_gap == 1.0
+
     def test_conditioning_on_target_equals_odds_gaps(self):
         rng = np.random.default_rng(3)
         n = 400
@@ -868,6 +881,10 @@ class TestCellsAgainstMaskLoops:
     @given(cell_inputs(), st.sampled_from(["s", "Y"]))
     def test_conditional_demographic_parity(self, inputs, conditioning):
         ds, preds, min_count, _ = inputs
+        if min_count < 1:  # rejected since; the old code let empty groups in
+            with pytest.raises(ValueError, match="min_count must be at least 1"):
+                conditional_demographic_parity(ds, preds, conditioning, min_count)
+            return
         new = conditional_demographic_parity(ds, preds, conditioning, min_count)
         old = _old_conditional_demographic_parity(ds, preds, conditioning, min_count)
         assert new.to_json_dict() == old.to_json_dict()

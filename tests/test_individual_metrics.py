@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from unittest.mock import patch
 
@@ -344,6 +347,133 @@ class TestDisparityIsOrderFree:
         assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
 
 
+class TestDistinctRows:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 30),
+        st.integers(0, 4),
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0, 5e-324]), min_size=1, max_size=4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_np_unique(self, n, cols, pool, seed):
+        # A small pool repeats rows and mixes -0.0 with 0.0 in one column.
+        x = np.random.default_rng(seed).choice(pool, size=(n, cols))
+        uniq, inv, cnt = individual_metrics._distinct_rows(x)
+        want_uniq, want_inv, want_cnt = np.unique(
+            x, axis=0, return_inverse=True, return_counts=True
+        )
+        assert uniq.shape == want_uniq.shape
+        assert (uniq == want_uniq).all()  # -0.0 == 0.0: either may stand for both
+        assert inv.tolist() == want_inv.reshape(-1).tolist()
+        assert cnt.tolist() == want_cnt.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_lex_order_is_lexsort(self, n, cols, distinct_first, seed):
+        # A first column without ties takes the one-column sort.
+        rng = np.random.default_rng(seed)
+        x = rng.choice([0.0, -0.0, 1.0, 2.0], size=(n, cols))
+        if distinct_first:
+            x[:, 0] = rng.permutation(n) - n / 2
+        want = np.lexsort(x.T[::-1])
+        assert individual_metrics._lex_order(x).tolist() == want.tolist()
+
+    def test_signed_zeros_are_one_row(self):
+        x = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -1.0]])
+        uniq, inv, cnt = individual_metrics._distinct_rows(x)
+        assert len(uniq) == 2 and inv.tolist() == [1, 1, 0] and cnt.tolist() == [1, 2]
+
+
+class TestWorkerCount:
+    @settings(max_examples=60, deadline=None)
+    @given(tie_heavy_audits())
+    def test_same_bits_for_any_worker_count(self, case):
+        # A block of 256 pair elements splits even 2-row inputs over threads.
+        ds, preds, spec, k = case
+        want = (consistency(ds, preds, k, spec), similarity_weighted_disparity(ds, preds, spec))
+        for workers in (1, 2, 3, 8):
+            for block in (1 << 8, 1 << 21):
+                with patch.object(individual_metrics, "_WORKERS", workers), \
+                        patch.object(individual_metrics, "_PAIR_BLOCK", block):
+                    got = (
+                        consistency(ds, preds, k, spec),
+                        similarity_weighted_disparity(ds, preds, spec),
+                    )
+                assert got == want, (workers, block)
+
+    @pytest.mark.parametrize("workers", [3, 8])
+    def test_threads_share_one_block(self, workers):
+        # The threads of one rectangle hold at most one block between them:
+        # 3 threads a third each; 8 would get less than one right-hand row
+        # (about 75 elements) each, so only 6 run.
+        rng = np.random.default_rng(4)
+        ds, preds = one_d(rng.normal(size=300), rng.integers(0, 2, 300), rng.integers(0, 2, 300))
+        calls, real = [], individual_metrics._block_row_sums
+
+        def spy(left, right, step):
+            calls.append((right.size, step * right.size))
+            return real(left, right, step)
+
+        want = similarity_weighted_disparity(ds, preds)
+        with patch.object(individual_metrics, "_WORKERS", workers), \
+                patch.object(individual_metrics, "_PAIR_BLOCK", 1 << 9), \
+                patch.object(individual_metrics, "_block_row_sums", spy):
+            assert similarity_weighted_disparity(ds, preds) == want
+        for size in {size for size, _ in calls}:  # one rectangle
+            held = [elements for s, elements in calls if s == size]
+            assert len(held) == min(workers, (1 << 9) // size) and sum(held) <= 1 << 9
+
+    def test_small_input_starts_no_thread(self):
+        class NoThreads:
+            def __init__(self, *args):
+                raise AssertionError("a thread was started")
+
+        rng = np.random.default_rng(5)
+        ds, preds = one_d(rng.normal(size=200), rng.integers(0, 2, 200), rng.integers(0, 2, 200))
+        want = similarity_weighted_disparity(ds, preds)
+        for workers in (1, 8):  # 8: each chunk would hold less than one block
+            with patch.object(individual_metrics, "_WORKERS", workers), \
+                    patch.object(individual_metrics, "ThreadPoolExecutor", NoThreads):
+                assert similarity_weighted_disparity(ds, preds) == want
+
+    def test_more_threads_than_cpus_with_fast_switching(self):
+        # Threads share only read-only rows; a lost or misplaced row sum
+        # would change the bits.
+        rng = np.random.default_rng(7)
+        ds, preds = one_d(rng.normal(size=400), rng.integers(0, 2, 400), rng.integers(0, 2, 400))
+        want = similarity_weighted_disparity(ds, preds)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with patch.object(individual_metrics, "_WORKERS", 16), \
+                    patch.object(individual_metrics, "_PAIR_BLOCK", 1 << 10):
+                for _ in range(5):
+                    assert similarity_weighted_disparity(ds, preds) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_error_reaches_caller(self):
+        real = individual_metrics._block_row_sums
+
+        def fails_off_main_thread(left, right, step):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("no room for the block")
+            return real(left, right, step)
+
+        rng = np.random.default_rng(6)
+        ds, preds = one_d(rng.normal(size=100), rng.integers(0, 2, 100), rng.integers(0, 2, 100))
+        with patch.object(individual_metrics, "_WORKERS", 2), \
+                patch.object(individual_metrics, "_PAIR_BLOCK", 1 << 6), \
+                patch.object(individual_metrics, "_block_row_sums", fails_off_main_thread):
+            with pytest.raises(MemoryError, match="no room for the block"):
+                similarity_weighted_disparity(ds, preds)
+
+    def test_worker_count_is_the_usable_cpus(self):
+        assert individual_metrics._WORKERS == individual_metrics._usable_cpus() >= 1
+        if hasattr(os, "sched_getaffinity") and not hasattr(os, "process_cpu_count"):
+            assert individual_metrics._WORKERS == len(os.sched_getaffinity(0))
+
+
 class TestFlipAssessment:
     def test_model_ignoring_attribute(self):
         ds, _ = one_d([1.0, 2.0, 3.0, 4.0], [0, 1, 0, 1], [0, 0, 0, 0])
@@ -465,6 +595,24 @@ class TestLipschitzAudit:
         ds, preds = one_d([0.0, 1.0], [0, 1], [0, 1])
         with pytest.raises(ValueError):
             lipschitz_audit(ds, preds, RAW, constant=0.0)
+
+    @pytest.mark.parametrize("constant", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_constant_rejected(self, constant):
+        # nan passed `constant <= 0` and surfaced later as a JSON error
+        ds, preds = one_d([0.0, 1.0, 2.0], [0, 1, 0], [0, 1, 1])
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            lipschitz_audit(ds, preds, RAW, constant=constant)
+
+    @pytest.mark.parametrize("max_pairs", [0, -3])
+    def test_max_pairs_below_one_rejected(self, max_pairs):
+        # 0 read "all sampled pairwise distances are zero"; -3 a numpy error
+        ds, preds = one_d([0.0, 1.0, 2.0], [0, 1, 0], [0, 1, 1])
+        with pytest.raises(ValueError, match="max_pairs must be at least 1, got"):
+            lipschitz_audit(ds, preds, RAW, max_pairs=max_pairs)
+
+    def test_one_pair_is_enough(self):
+        ds, preds = one_d([0.0, 1.0, 2.0], [0, 1, 0], [0, 1, 1])
+        assert lipschitz_audit(ds, preds, RAW, max_pairs=1).pairs_examined == 1
 
 
 class TestEncoding:
