@@ -142,7 +142,7 @@ CRITERIA = (
         (("decisions", "consistency needs binary decisions"),),
         lambda a: {
             "metric": "consistency",
-            "value": individual_metrics.consistency(a.ds, a.preds, a.args.k, a.dist),
+            "value": individual_metrics._consistency(a.ds, a.preds, a.args.k, a.encoded),
         },
     ),
     Criterion(
@@ -150,7 +150,7 @@ CRITERIA = (
         (("decisions", "similarity_weighted_disparity needs binary decisions"),),
         lambda a: {
             "metric": "similarity_weighted_disparity",
-            "value": individual_metrics.similarity_weighted_disparity(a.ds, a.preds, a.dist),
+            "value": individual_metrics._similarity_weighted_disparity(a.ds, a.preds, a.encoded),
         },
     ),
     Criterion(
@@ -240,14 +240,16 @@ def cmd_audit(args):
         "model": model is not None,
         "condition_on": bool(args.condition_on),
     }
+    dist = individual_metrics.DistanceSpec(
+        "euclidean_raw" if args.distance == "raw" else "euclidean_standardized"
+    )
     inputs = SimpleNamespace(
-        ds=ds, preds=preds, model=model, policy=policy, args=args,
+        ds=ds, preds=preds, model=model, policy=policy, args=args, dist=dist,
         # the model's own decisions, unless preds came from --predictions
         model_preds=None if pred_cols else preds,
         stats=group_metrics.compute_group_stats(ds, preds),
-        dist=individual_metrics.DistanceSpec(
-            "euclidean_raw" if args.distance == "raw" else "euclidean_standardized"
-        ),
+        # consistency and the disparity share one encoding, made on first use
+        encoded=functools.cache(lambda: individual_metrics.encode_for_distance(ds, dist)),
     )
     out = {}
     for c, from_all in requested:

@@ -37,10 +37,15 @@ def _readonly(a):
 
 
 def _int_codes(values, what):
-    """``values`` as an int array; a non-integral value, NaN too, is an error."""
+    """``values`` as an int array; a non-integral value, NaN too, is an
+    error, and so is a whole float that int64 cannot hold, before the cast
+    that would turn it into an arbitrary code with a RuntimeWarning."""
     a = np.asarray(values)
-    if a.dtype.kind == "f" and not (np.isfinite(a) & (np.trunc(a) == a)).all():
-        raise ValueError(f"{what} must be integers, not fractions or NaN")
+    if a.dtype.kind == "f":
+        if not (np.isfinite(a) & (np.trunc(a) == a)).all():
+            raise ValueError(f"{what} must be integers, not fractions or NaN")
+        if not ((a >= -(2.0**63)) & (a < 2.0**63)).all():
+            raise ValueError(f"{what} must be integers within the int64 range")
     return a.astype(int, copy=False)
 
 
@@ -156,7 +161,7 @@ class Dataset:
             t = _int_codes(self.target, "target")
             if len(t) != n:
                 raise ValueError("target length mismatch")
-            if len(t) and not np.isin(t, (0, 1)).all():
+            if not ((t == 0) | (t == 1)).all():
                 raise ValueError("target must be binary 0/1")
             object.__setattr__(self, "target", _readonly(t))
         if n == 0:
@@ -212,7 +217,7 @@ class PredictionSet:
             raise ValueError("need decisions, scores, or both")
         if self.decisions is not None:
             d = _int_codes(self.decisions, "decisions")
-            if len(d) and not np.isin(d, (0, 1)).all():
+            if not ((d == 0) | (d == 1)).all():
                 raise ValueError("decisions must be binary 0/1")
             object.__setattr__(self, "decisions", _readonly(d))
         if self.scores is not None:

@@ -208,12 +208,18 @@ def consistency(ds, preds, k=5, dist=DistanceSpec()):
     k-th distance are all included, so the neighbourhood is deterministic
     without arbitrary ordering. Equals 1 for any constant decision rule.
     """
+    return _consistency(ds, preds, k, lambda: encode_for_distance(ds, dist))
+
+
+def _consistency(ds, preds, k, encoded):
+    """:func:`consistency` over the rows ``encoded()`` returns, called once
+    the inputs pass their checks."""
     group_metrics._require(ds, preds, (("decisions", "consistency needs binary decisions"),))
     n = ds.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must lie in [1, {n - 1}]")
     dec = preds.decisions.astype(float)
-    means = _knn_means(encode_for_distance(ds, dist), dec, k)
+    means = _knn_means(encoded(), dec, k)
     total = 0.0
     for start in range(0, n, 512):
         rows = slice(start, start + 512)
@@ -280,6 +286,12 @@ def similarity_weighted_disparity(ds, preds, dist=DistanceSpec()):
     given encoded rows, the value depends on neither the row order nor the
     block size.
     """
+    return _similarity_weighted_disparity(ds, preds, lambda: encode_for_distance(ds, dist))
+
+
+def _similarity_weighted_disparity(ds, preds, encoded):
+    """:func:`similarity_weighted_disparity` over the rows ``encoded()``
+    returns, called once the inputs pass their checks."""
     group_metrics._require(
         ds, preds, (("decisions", "similarity_weighted_disparity needs binary decisions"),)
     )
@@ -289,7 +301,7 @@ def similarity_weighted_disparity(ds, preds, dist=DistanceSpec()):
     n1, n0 = len(rej1) + len(acc1), len(rej0) + len(acc0)
     if n1 == 0 or n0 == 0:
         raise ValueError("both groups must be nonempty")
-    x = encode_for_distance(ds, dist)
+    x = encoded()
     row_sums = _exp_neg_row_sums(x[acc1], x[rej0]) + _exp_neg_row_sums(x[rej1], x[acc0])
     return math.fsum(row_sums) / (n1 * n0)
 
@@ -306,6 +318,28 @@ class FlipReport:
             raise ValueError("flip_rate and flip_consistency must sum to 1")
 
 
+def _flipped(ds, flip_map=None):
+    """``ds`` with its sensitive attribute flipped: 0<->1 for a binary
+    attribute by default, else by ``flip_map``, a permutation of the codes."""
+    g = ds.sensitive.n_groups
+    if flip_map is None:
+        if g != 2:
+            raise ValueError("non-binary attribute: pass an explicit flip_map")
+        flip_map = np.array([1, 0])
+    else:
+        flip_map = np.asarray(flip_map, dtype=int)
+        if sorted(flip_map.tolist()) != list(range(g)):
+            raise ValueError("flip_map must be a permutation of the group codes")
+    return Dataset(
+        ds.features,
+        SensitiveAttribute(
+            ds.sensitive.name, flip_map[ds.sensitive.values], ds.sensitive.group_labels
+        ),
+        ds.target,
+        ds.target_name,
+    )
+
+
 def flip_assessment(ds, model, flip_map=None, decisions=None):
     """Fraction of decisions that change when the sensitive attribute flips.
 
@@ -320,23 +354,7 @@ def flip_assessment(ds, model, flip_map=None, decisions=None):
     ever changes). ``decisions`` are ``model``'s decisions on ``ds`` when
     the caller already has them; ``model`` then scores the flipped rows only.
     """
-    g = ds.sensitive.n_groups
-    if flip_map is None:
-        if g != 2:
-            raise ValueError("non-binary attribute: pass an explicit flip_map")
-        flip_map = np.array([1, 0])
-    else:
-        flip_map = np.asarray(flip_map, dtype=int)
-        if sorted(flip_map.tolist()) != list(range(g)):
-            raise ValueError("flip_map must be a permutation of the group codes")
-    flipped = Dataset(
-        ds.features,
-        SensitiveAttribute(
-            ds.sensitive.name, flip_map[ds.sensitive.values], ds.sensitive.group_labels
-        ),
-        ds.target,
-        ds.target_name,
-    )
+    flipped = _flipped(ds, flip_map)
     y0 = _decisions_of(model(ds) if decisions is None else decisions)
     y1 = _decisions_of(model(flipped))
     rate = float(np.mean(np.abs(y0.astype(float) - y1.astype(float)))) if ds.n else 0.0

@@ -8,13 +8,15 @@ fit; the model then reports ``converged=False``.
 The logistic link is ``1 / (1 + e)`` where ``z >= 0`` and ``e / (1 + e)``
 elsewhere, with ``e = exp(-|z|)``: the same exponent and quotients as
 evaluating each sign's rows apart, so the scores are the same bits, and
-``exp`` never overflows. The mean log loss sums ``max(v, 0) +
-log1p(exp(-|v|))`` with ``v = -z`` on positive rows and ``z`` on
-negative ones. numpy's vectorised ``exp`` and ``log1p`` may round a term
-differently from libm in its last bit, so the loss can differ in its last
-bits from ``np.logaddexp``. The loss only decides whether a Newton step is
-accepted, against a slack of 1e-13 of the loss, and the fitted models are
-the same bits as with ``np.logaddexp`` on every design tested.
+``exp`` never overflows. The numerator is ``exp(min(z, 0))``, which is 1
+where ``z >= 0`` and ``e`` elsewhere, so each row takes one quotient. The
+mean log loss sums ``max(v, 0) + log1p(exp(-|v|))`` with ``v = -z`` on
+positive rows and ``z`` on negative ones. numpy's vectorised ``exp`` and
+``log1p`` may round a term differently from libm in its last bit, so the
+loss can differ in its last bits from ``np.logaddexp``. The loss only
+decides whether a Newton step is accepted, against a slack of 1e-13 of
+the loss, and the fitted models are the same bits as with
+``np.logaddexp`` on every design tested.
 
 Mitigation strategies (``STRATEGIES`` maps each ``train --strategy``
 spelling to one of them):
@@ -240,23 +242,35 @@ def _one_hot_observed(codes, levels, what):
     return block
 
 
-def _raw_design(ds, columns, include_sensitive, sensitive_levels):
-    blocks = []
+def _raw_design(ds, columns, include_sensitive, sensitive_levels, blocks=None):
+    """The unstandardised design of ``ds``: a column per continuous feature
+    and a one-hot per categorical one, then the groups' one-hot if asked.
+
+    ``blocks``, a dict, keeps the one-hots built from ``ds``'s rows so far,
+    by (column name or None for the groups, levels), so that other designs
+    of the same rows take them from it instead of building them again.
+    """
+    blocks = {} if blocks is None else blocks
+
+    def one_hot(name, codes, levels, what):
+        if (name, levels) not in blocks:
+            blocks[(name, levels)] = _one_hot_observed(codes, levels, what)
+        return blocks[(name, levels)]
+
+    parts = []
     for name, kind, levels in columns:
         col = ds.feature(name)
         if kind != col.kind:
             raise ValueError(f"column {name!r} changed kind since training")
         if kind == CATEGORICAL:
-            blocks.append(_one_hot_observed(col.values, levels, f"column {name!r}"))
+            parts.append(one_hot(name, col.values, levels, f"column {name!r}"))
         else:
-            blocks.append(col.values.reshape(-1, 1))
+            parts.append(col.values.reshape(-1, 1))
     if include_sensitive:
-        blocks.append(
-            _one_hot_observed(
-                ds.sensitive.values, sensitive_levels, "the sensitive attribute"
-            )
+        parts.append(
+            one_hot(None, ds.sensitive.values, sensitive_levels, "the sensitive attribute")
         )
-    return np.hstack(blocks) if blocks else np.zeros((ds.n, 0))
+    return np.hstack(parts) if parts else np.zeros((ds.n, 0))
 
 
 def _standardisation(raw):
@@ -267,17 +281,26 @@ def _standardisation(raw):
     return raw.mean(axis=0), np.where(scales == 0, 1.0, scales)
 
 
-def _fit_encoder(ds, feature_names, include_sensitive):
-    """The encoder fitted on ``ds``, and ``ds`` encoded by it."""
+def _observed_levels(codes):
+    """The distinct codes of a nonnegative code array, ascending."""
+    return tuple(np.flatnonzero(np.bincount(codes)).tolist())
+
+
+def _fit_encoder(ds, feature_names, include_sensitive, blocks=None):
+    """The encoder fitted on ``ds``, and ``ds`` encoded by it.
+
+    ``blocks`` shares one-hots between designs of ``ds``'s rows
+    (:func:`_raw_design`). The means and scales are those of this design's
+    own columns: a column's mean taken inside a wider design can differ in
+    its last bit.
+    """
     columns = []
     for name in feature_names:
         col = ds.feature(name)
-        levels = None
-        if col.kind == CATEGORICAL:
-            levels = tuple(int(c) for c in np.unique(col.values))
+        levels = _observed_levels(col.values) if col.kind == CATEGORICAL else None
         columns.append((name, col.kind, levels))
-    sens_levels = tuple(int(c) for c in np.unique(ds.sensitive.values))
-    raw = _raw_design(ds, tuple(columns), include_sensitive, sens_levels)
+    sens_levels = _observed_levels(ds.sensitive.values)
+    raw = _raw_design(ds, tuple(columns), include_sensitive, sens_levels, blocks)
     means, scales = _standardisation(raw)
     labels = {c.name: c.code_labels for c in ds.features if c.kind == CATEGORICAL}
     enc = _Encoder(
@@ -287,9 +310,39 @@ def _fit_encoder(ds, feature_names, include_sensitive):
     return enc, (raw - means) / scales
 
 
-def _encode(ds, enc):
-    raw = _raw_design(ds, enc.columns, enc.include_sensitive, enc.sensitive_levels)
+def _encode(ds, enc, blocks=None):
+    raw = _raw_design(ds, enc.columns, enc.include_sensitive, enc.sensitive_levels, blocks)
     return (raw - enc.means) / enc.scales
+
+
+class RowMemo:
+    """Work on one dataset's rows that several models of those rows share.
+
+    :func:`train` and :func:`score` take each one-hot block of a design
+    from it, built once, and :func:`train` each feature's suppression
+    correlation, computed once. It holds no model; keep it while training
+    and scoring models of ``ds``'s rows, and drop it with them.
+    """
+
+    def __init__(self, ds):
+        self.ds = ds
+        self.blocks = {}
+        self._corr = {}
+
+    def correlation(self, name):
+        """The suppression correlation of feature ``name`` (:func:`_feature_corr`)."""
+        if name not in self._corr:
+            self._corr[name] = _feature_corr(self.ds, self.ds.feature(name))
+        return self._corr[name]
+
+
+def _memo_of(ds, memo):
+    """``memo`` once it is checked to be of ``ds``'s rows, or a new one."""
+    if memo is None:
+        return RowMemo(ds)
+    if memo.ds is not ds:
+        raise ValueError("the row memo was made for other rows")
+    return memo
 
 
 @dataclass(frozen=True)
@@ -315,8 +368,7 @@ class ClassifierModel:
 
 
 def _sigmoid(z):
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 def log_loss_gradient(x, y, weights, intercept):
@@ -347,23 +399,26 @@ def _feature_corr(ds, col):
     return _sensitive_indicator_corr(ds, col.values)
 
 
-def train(ds, spec=MitigationSpec(), hyper=TrainConfig(), seed=0):
+def train(ds, spec=MitigationSpec(), hyper=TrainConfig(), seed=0, memo=None):
     """Fit the built-in classifier under a mitigation strategy.
 
     Deterministic: identical inputs give bit-identical weights (the seed is
     accepted for interface uniformity; nothing here draws randomness).
     Post-processing strategies train on all features including the
     sensitive attribute; the threshold policy itself is fitted separately
-    (:func:`fit_dp_threshold` / :func:`fit_cdp_threshold`).
+    (:func:`fit_dp_threshold` / :func:`fit_cdp_threshold`). ``memo``, a
+    :class:`RowMemo` of ``ds``, shares design blocks and suppression
+    correlations with the other models of the same rows.
     """
     if ds.target is None or ds.n == 0:
         raise ValueError("training needs rows with the ground-truth target")
+    memo = _memo_of(ds, memo)
     names = list(ds.feature_names)
     suppression = None
     if spec.strategy == SUPPRESSION:
         dropped, kept = [], []
         for name in names:
-            corr = _feature_corr(ds, ds.feature(name))
+            corr = memo.correlation(name)
             if name in spec.drop_features or corr > spec.threshold:
                 dropped.append((name, corr))
             else:
@@ -375,7 +430,7 @@ def train(ds, spec=MitigationSpec(), hyper=TrainConfig(), seed=0):
     if not names and not spec.uses_sensitive:
         raise ValueError("all features dropped; the model would be degenerate")
 
-    enc, x = _fit_encoder(ds, names, spec.uses_sensitive)
+    enc, x = _fit_encoder(ds, names, spec.uses_sensitive, memo.blocks)
     y = ds.target.astype(float)
     w, b, epochs, gnorm = _newton(x, y, hyper)
     z = x @ w + b
@@ -384,9 +439,18 @@ def train(ds, spec=MitigationSpec(), hyper=TrainConfig(), seed=0):
     return ClassifierModel(w, b, enc, spec, suppression, epochs, gnorm, converged)
 
 
-def _mean_log_loss(z, y):
-    v = np.where(y == 1, -z, z)
-    return float((np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))).mean())
+def _mean_log_loss(z, sign, out):
+    """Mean log loss of logits ``z``; ``sign`` is -1 on positive rows and 1
+    on negative ones, and the terms are written into ``out``'s two rows."""
+    v, e = out
+    np.multiply(sign, z, out=v)
+    np.abs(v, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.log1p(e, out=e)
+    np.maximum(v, 0.0, out=v)
+    v += e
+    return float(v.mean())
 
 
 def _newton(x, y, hyper):
@@ -396,44 +460,69 @@ def _newton(x, y, hyper):
     standardised one-hots of a two-level attribute are exact negatives).
     The step halves until the loss decreases, with slack for its rounding
     near the optimum; returns (weights, intercept, steps, gradient norm).
+    The logits of the accepted point are the next step's Hessian logits,
+    and the Hessian weights and loss terms go into buffers made once.
     """
-    xd = np.hstack([x, np.ones((len(y), 1))])
+    n = len(y)
+    xd = np.hstack([x, np.ones((n, 1))])
+    sign = np.where(y == 1, -1.0, 1.0)
+    terms, h, weighted = np.empty((2, n)), np.empty(n), np.empty_like(xd)
     theta, epochs = np.zeros(xd.shape[1]), 0
-    loss = _mean_log_loss(xd @ theta, y)
+    z = xd @ theta
+    loss = _mean_log_loss(z, sign, terms)
     while True:
         gw, gb = log_loss_gradient(x, y, theta[:-1], theta[-1])
         gnorm = float(np.sqrt(np.square(gw).sum() + gb * gb))
         if gnorm <= hyper.tol or epochs >= hyper.max_epochs:
             return theta[:-1], float(theta[-1]), epochs, gnorm
-        grad, p = np.append(gw, gb), _sigmoid(xd @ theta)
-        hess = xd.T @ (xd * (p * (1.0 - p))[:, None]) / len(y)
+        grad, p = np.append(gw, gb), _sigmoid(z)
+        np.subtract(1.0, p, out=h)
+        h *= p
+        np.multiply(xd, h[:, None], out=weighted)
+        hess = xd.T @ weighted / n
         step = -np.linalg.lstsq(hess, grad, rcond=None)[0]
         t, slope, slack = 1.0, float(grad @ step), 1e-13 * loss
-        while (new := _mean_log_loss(xd @ (theta + t * step), y)) > (
+        while (new := _mean_log_loss(zt := xd @ (theta + t * step), sign, terms)) > (
             loss + 1e-4 * t * slope + slack
         ):
             if t < 1e-12:  # no descent along the Newton direction
                 return theta[:-1], float(theta[-1]), epochs, gnorm
             t /= 2
-        theta, loss, epochs = theta + t * step, new, epochs + 1
+        theta, loss, z, epochs = theta + t * step, new, zt, epochs + 1
 
 
-def predict(model, ds, policy=None):
-    """Scores (logistic outputs) and decisions for a dataset.
+def score(model, ds, memo=None):
+    """The model's scores (logistic outputs) on ``ds``'s rows.
+
+    Categorical levels and groups are matched to the training data by
+    label; unseen ones raise: silently defaulting a level would fabricate
+    scores. ``memo``, a :class:`RowMemo` of ``ds``, shares design blocks
+    with the other models trained on or scoring the same rows.
+    """
+    memo = _memo_of(ds, memo)
+    coded = _in_training_codes(ds, model.encoder)
+    # the memo's blocks hold ds's own codes, which recoding would change
+    x = _encode(coded, model.encoder, memo.blocks if coded is ds else None)
+    return _sigmoid(x @ model.weights + model.intercept)
+
+
+def decide(model, ds, scores, policy=None):
+    """The model's decisions on ``ds``'s rows, from its ``scores`` on them.
 
     Decisions follow the threshold policy when given, else the fixed rule
-    score >= 0.5. Categorical levels and groups are matched to the training
-    data by label; unseen ones raise: silently defaulting a level would
-    fabricate predictions.
+    score >= 0.5. Returns the decisions with the scores.
     """
-    ds = _in_training_codes(ds, model.encoder)
-    x = _encode(ds, model.encoder)
-    scores = _sigmoid(x @ model.weights + model.intercept)
     if policy is None:
         return PredictionSet((scores >= 0.5).astype(int), scores)
+    ds = _in_training_codes(ds, model.encoder)
     col = policy.stratum_column
     strata = None if col is None else ds.column_codes(col)[0]
     return apply_threshold(PredictionSet(scores=scores), policy, ds.sensitive, strata)
+
+
+def predict(model, ds, policy=None):
+    """Scores and decisions for a dataset: :func:`decide` of :func:`score`."""
+    return decide(model, ds, score(model, ds), policy)
 
 
 def fit_dp_threshold_scores(scores, groups, n_groups, target, grid_size=100):
@@ -482,7 +571,7 @@ def fit_dp_threshold_scores(scores, groups, n_groups, target, grid_size=100):
 def _fit_scores(ds, model):
     if ds.target is None:
         raise ValueError("threshold fitting needs the ground-truth target")
-    return predict(model, ds).scores
+    return score(model, ds)
 
 
 def fit_dp_threshold(ds, model, grid_size=100):
@@ -502,10 +591,23 @@ def fit_cdp_threshold(ds, model, conditioning, grid_size=100, min_count=30):
     the report can disclose them.
     """
     ds = _in_training_codes(ds, model.encoder)
+    ds.column_codes(conditioning)  # an unknown or continuous column raises first
+    scores = _fit_scores(ds, model)
+    glob = fit_dp_threshold_scores(
+        scores, ds.sensitive.values, ds.sensitive.n_groups, ds.target, grid_size
+    )
+    return fit_cdp_threshold_scores(ds, scores, conditioning, glob, grid_size, min_count)
+
+
+def fit_cdp_threshold_scores(ds, scores, conditioning, glob, grid_size=100, min_count=30):
+    """:func:`fit_cdp_threshold` straight from a model's ``scores`` on
+    ``ds``'s rows, in the model's training codes.
+
+    ``glob`` is the global policy, :func:`fit_dp_threshold_scores` of the
+    same scores and grid, which fills the cells that fall back.
+    """
     codes, labels = ds.column_codes(conditioning)
-    scores, groups = _fit_scores(ds, model), ds.sensitive.values
-    n_groups = ds.sensitive.n_groups
-    glob = fit_dp_threshold_scores(scores, groups, n_groups, ds.target, grid_size)
+    groups, n_groups = ds.sensitive.values, ds.sensitive.n_groups
     cells, fallback, flags = {}, [], list(glob.flags)
     for s, rows in enumerate(cell_rows(codes, len(labels))):
         sub = {}  # a stratum below min_count is not fitted: all its cells fall back

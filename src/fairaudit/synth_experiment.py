@@ -26,9 +26,9 @@ from dataclasses import dataclass, replace
 
 from . import causal
 from .causal import Assignment, Dag, NoiseSpec, Scm
-from .data import split
+from .data import PredictionSet, split
 from .group_metrics import _auc_scores, demographic_parity
-from .individual_metrics import FlipReport, flip_assessment
+from .individual_metrics import FlipReport, _flipped, flip_assessment
 from .info_theory import symmetric_uncertainty_codes
 from .modeling import (
     CDP_POST,
@@ -37,8 +37,11 @@ from .modeling import (
     FULL,
     SUPPRESSION,
     MitigationSpec,
-    fit_policy,
-    predict,
+    RowMemo,
+    decide,
+    fit_cdp_threshold_scores,
+    fit_dp_threshold_scores,
+    score,
     train,
 )
 from .seeding import derive_seed
@@ -310,40 +313,94 @@ def _training_spec(spec):
     return spec
 
 
-def _flip_report(model, policy, ds):
-    """:func:`flip_assessment` of the model's decisions on ``ds``.
+class _SharedWork:
+    """The work that the approaches of one dataset share.
+
+    Each distinct model (:func:`_training_spec`) is trained once, and
+    scores each row set once: the train rows, which the threshold policies
+    are fitted on, the test rows, and the test rows with the attribute
+    flipped. The global DP policy of each model is fitted once, for DP and
+    as CDP's fallback, and each row set's design blocks and suppression
+    correlations are computed once (:class:`~fairaudit.modeling.RowMemo`).
+    It lives for one dataset's loop.
+    """
+
+    def __init__(self, train_ds, test_ds):
+        self.rows = {"train": RowMemo(train_ds), "test": RowMemo(test_ds)}
+        self.models, self._scores, self._dp = {}, {}, {}
+
+    def model(self, spec, seed):
+        key = _training_spec(spec)
+        if key not in self.models:
+            memo = self.rows["train"]
+            self.models[key] = train(memo.ds, spec, seed=seed, memo=memo)
+        return replace(self.models[key], spec=spec)
+
+    def scores(self, spec, rows):
+        """The scores of ``spec``'s trained model on ``rows``: "train",
+        "test" or "flipped"."""
+        key = (_training_spec(spec), rows)
+        if key not in self._scores:
+            if rows not in self.rows:  # the flipped test rows, made on first use
+                self.rows[rows] = RowMemo(_flipped(self.rows["test"].ds))
+            memo = self.rows[rows]
+            self._scores[key] = score(self.models[key[0]], memo.ds, memo)
+        return self._scores[key]
+
+    def policy(self, spec):
+        """The threshold policy of ``spec``, fitted on the train rows; None
+        for the strategies that threshold scores at one half."""
+        if spec.strategy not in (DP_POST, CDP_POST):
+            return None
+        ds, scores = self.rows["train"].ds, self.scores(spec, "train")
+        key = _training_spec(spec)
+        if key not in self._dp:
+            self._dp[key] = fit_dp_threshold_scores(
+                scores, ds.sensitive.values, ds.sensitive.n_groups, ds.target
+            )
+        if spec.strategy == DP_POST:
+            return self._dp[key]
+        return fit_cdp_threshold_scores(ds, scores, spec.conditioning, self._dp[key])
+
+
+def _flip_report(model, policy, ds, decisions, flipped_scores):
+    """:func:`flip_assessment` of the model's ``decisions`` on ``ds``;
+    ``flipped_scores()`` gives its scores on ``ds`` with the attribute
+    flipped.
 
     Decisions that read neither the attribute nor a per-group policy cannot
     change when a binary attribute flips, so they are not scored again.
     """
     if policy is None and not model.trained_with_sensitive and ds.sensitive.n_groups == 2:
         return FlipReport(0.0, 1.0)
-    return flip_assessment(ds, lambda d: predict(model, d, policy))
+    return flip_assessment(
+        ds, lambda flipped: decide(model, flipped, flipped_scores(), policy), decisions=decisions
+    )
 
 
-def evaluate_approach(name, train_ds, test_ds, conditioning, seed, synthetic=True, fits=None):
+def evaluate_approach(name, train_ds, test_ds, conditioning, seed, synthetic=True, shared=None):
     """Train one approach and measure the four table metrics on the test part.
 
     ``test_ds`` must hold both classes (``run_experiment`` checks it once
-    per dataset): the ROC AUC is undefined otherwise. ``fits`` keeps the
-    models trained on ``train_ds`` by their :func:`_training_spec`, so
-    approaches that train the same model share one fit.
+    per dataset): the ROC AUC is undefined otherwise. ``shared``, a
+    :class:`_SharedWork` of ``train_ds`` and ``test_ds``, holds the models,
+    scores and policies that approaches of the same dataset share.
     """
     spec = approach_spec(name, conditioning, synthetic)
-    fits = {} if fits is None else fits
-    key = _training_spec(spec)
-    if key not in fits:
-        fits[key] = train(train_ds, spec, seed=derive_seed(seed, f"train:{name}"))
-    model = replace(fits[key], spec=spec)
-    policy = fit_policy(train_ds, model)
-    preds = predict(model, test_ds, policy)
+    shared = _SharedWork(train_ds, test_ds) if shared is None else shared
+    model = shared.model(spec, derive_seed(seed, f"train:{name}"))
+    policy = shared.policy(spec)
+    preds = decide(model, test_ds, shared.scores(spec, "test"), policy)
     a_codes = test_ds.sensitive.values
     u = 100.0 * symmetric_uncertainty_codes(preds.decisions, a_codes)
     # post-processing emits decisions, not scores: rank on the final output
     basis = "scores" if policy is None else "decisions"
     auc = _auc_scores(test_ds.target, getattr(preds, basis))
-    flip = _flip_report(model, policy, test_ds)
-    dp = demographic_parity(test_ds, preds)
+    flip = _flip_report(
+        model, policy, test_ds, preds.decisions, lambda: shared.scores(spec, "flipped")
+    )
+    # the ratio reads decisions only: no score means or group AUCs
+    dp = demographic_parity(test_ds, PredictionSet(preds.decisions))
     ratio = 0.0 if dp.ratio is None else dp.ratio
     return ApproachMetrics(
         u_pred_attr=u,
@@ -376,8 +433,9 @@ def run_experiment(
     ``datasets`` is a sequence of ``(name, Dataset, cdp_conditioning)``
     triples; by default the two built-in synthetic datasets are generated
     (under the calibrated noise reading unless one is forced) and
-    conditioned on X3 for CDP. All randomness derives from ``seed``. CDP
-    and DP train the same model, so each dataset fits it once. An
+    conditioned on X3 for CDP. All randomness derives from ``seed``. Each
+    dataset trains each distinct model once (CDP and DP share one) and
+    scores each row set with it once (:class:`_SharedWork`). An
     approach that raises ``ValueError`` (e.g. it drops every feature) is
     reported as a :class:`FailedApproach` and the rest of the table is
     still computed; a test split that holds one class, where no approach
@@ -408,7 +466,7 @@ def run_experiment(
         )
         if len(set(test_ds.target.tolist())) < 2:
             raise ValueError(f"{name}: the test split holds one class, so ROC AUC is undefined")
-        cells, fits = {}, {}
+        cells, shared = {}, _SharedWork(train_ds, test_ds)
         for approach in APPROACHES:
             try:
                 cells[approach] = evaluate_approach(
@@ -418,7 +476,7 @@ def run_experiment(
                     conditioning,
                     derive_seed(seed, f"cell:{name}:{approach}"),
                     synthetic,
-                    fits,
+                    shared,
                 )
             except ValueError as exc:
                 cells[approach] = FailedApproach(str(exc))

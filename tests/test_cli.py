@@ -86,6 +86,44 @@ class TestAudit:
         expected = set(METRICS) - {"flip"}  # flip needs --model
         assert expected <= set(doc["metrics"])
 
+    @pytest.mark.parametrize("distance", ["standardized", "raw"])
+    def test_one_encoding_per_distance_kind(self, toy_csv, tmp_path, monkeypatch, distance):
+        # consistency and the disparity share one encoding; the Lipschitz
+        # audit adds the attribute, so it encodes its own
+        data, schema = toy_csv
+        calls = []
+        real = individual_metrics.encode_for_distance
+
+        def counted(ds, spec, include_sensitive=False):
+            calls.append((spec.kind, include_sensitive))
+            return real(ds, spec, include_sensitive)
+
+        monkeypatch.setattr(individual_metrics, "encode_for_distance", counted)
+        out = tmp_path / "report.json"
+        main(
+            [
+                "audit",
+                "--data", str(data),
+                "--schema", str(schema),
+                "--predictions", "yhat=pred",
+                "--metrics", "consistency,similarity_weighted_disparity,lipschitz_audit",
+                "--distance", distance,
+                "--k", "3",
+                "--output", str(out),
+            ]
+        )
+        kind = "euclidean_raw" if distance == "raw" else "euclidean_standardized"
+        assert calls == [(kind, False), (kind, True)]
+        monkeypatch.undo()
+        doc = json.loads(out.read_text())["metrics"]
+        ds = load_csv(data, load_schema(schema), exclude=("pred",))
+        preds = load_predictions(data, "pred")
+        dist = individual_metrics.DistanceSpec(kind)
+        assert doc["consistency"]["value"] == individual_metrics.consistency(ds, preds, 3, dist)
+        assert doc["similarity_weighted_disparity"]["value"] == (
+            individual_metrics.similarity_weighted_disparity(ds, preds, dist)
+        )
+
     def test_all_with_decisions_only_degrades_gracefully(self, toy_csv, tmp_path):
         # score-based metrics cannot run without scores: under 'all' they
         # are listed as skipped and the run exits partial
@@ -202,6 +240,25 @@ class TestAudit:
         )
         assert code == EXIT_DATA
         assert "decisions must be integers" in capsys.readouterr().err
+
+    def test_decisions_beyond_int64_are_the_only_message(self, tmp_path):
+        # 1e300 is whole, so it passed the integral check, and its cast to
+        # int printed numpy's RuntimeWarning before the error
+        data = tmp_path / "d.csv"
+        data.write_text("g,y,pred\nm,1,1e300\nf,0,1\nm,0,0\nf,1,1\n", encoding="utf-8")
+        schema = tmp_path / "s.cfg"
+        schema.write_text("sensitive = g\ntarget = y\n", encoding="utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fairaudit", "audit", "--data", str(data),
+             "--schema", str(schema), "--predictions", "yhat=pred", "--metrics", "dp"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_DATA
+        assert proc.stderr == "data error: decisions must be integers within the int64 range\n"
 
     def test_undefined_everywhere_exit_partial(self, tmp_path, capsys):
         # nobody accepted: precision undefined in every group
@@ -816,7 +873,7 @@ class TestGlobalOptions:
     ):
         data, schema = toy_csv
         monkeypatch.setattr(
-            "fairaudit.individual_metrics.consistency", lambda *a, **k: float("nan")
+            "fairaudit.individual_metrics._consistency", lambda *a, **k: float("nan")
         )
         out = tmp_path / "report.txt"
         argv = [

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fairaudit.data import (
     PredictionSet,
     SchemaError,
     SensitiveAttribute,
+    _int_codes,
     _read_csv,
     cell_rows,
     intersect_sensitive,
@@ -181,6 +183,17 @@ class TestNonIntegralCodesRejected:
     def test_categorical_codes(self, bad):
         with pytest.raises(ValueError, match="column 'c' must be integers"):
             FeatureColumn("c", CATEGORICAL, np.array([bad, 1.0]), ("x", "y"))
+
+    @pytest.mark.parametrize("big", [1e300, -1e300, 2.0**63, -(2.0**64)])
+    def test_whole_floats_beyond_int64(self, big):
+        # rejected before the cast, which would warn and make up a code
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="decisions must be integers within the int64"):
+                PredictionSet(decisions=np.array([big, 1.0]))
+            assert _int_codes(np.array([-(2.0**63), 2.0**62]), "codes").tolist() == [
+                -(2**63), 2**62
+            ]
 
     def test_integral_floats_accepted(self):
         sa = SensitiveAttribute("g", np.array([1.0, 0.0]), ("a", "b"))
@@ -603,7 +616,6 @@ def _same_floats(a, b):
 
 
 @pytest.mark.filterwarnings("ignore:dataset has 0 rows")
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")  # 1e300 decisions
 class TestColumnParserAgainstCellLoop:
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):

@@ -41,6 +41,7 @@ from fairaudit.modeling import (
     log_loss_gradient,
     predict,
     save_model,
+    score,
     train,
 )
 from fairaudit.synth_experiment import SynthConfig, generate
@@ -645,7 +646,8 @@ class TestLinkLossAndSolverAgainstOld:
     def test_loss_agrees_to_rounding(self, z, seed):
         # every term is >= 0, so a few ulp per term bound the mean's error
         y = np.random.default_rng(seed).integers(0, 2, len(z)).astype(float)
-        assert _mean_log_loss(z, y) == pytest.approx(
+        sign = np.where(y == 1, -1.0, 1.0)
+        assert _mean_log_loss(z, sign, np.empty((2, len(z)))) == pytest.approx(
             _logaddexp_mean_log_loss(z, y), rel=16 * np.finfo(float).eps, abs=1e-300
         )
 
@@ -674,6 +676,117 @@ class TestLinkLossAndSolverAgainstOld:
     def test_train_bit_identical_when_separable(self, case, gap, relabel):
         ds, strategy = case
         self._assert_same_fit(_margin_relabelled(ds, gap) if relabel else ds, strategy)
+
+
+# ---------------------------------------------------------------------------
+# Newton solver against the one that allocated its work arrays every step
+# ---------------------------------------------------------------------------
+# Verbatim copies (renamed) of the solver that recomputed the Hessian logits
+# and allocated the Hessian weights and loss terms at every step, and of its
+# loss. The buffered solver must return the same bits.
+
+
+def _allocating_mean_log_loss(z, y):
+    v = np.where(y == 1, -z, z)
+    return float((np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))).mean())
+
+
+def _allocating_newton(x, y, hyper):
+    xd = np.hstack([x, np.ones((len(y), 1))])
+    theta, epochs = np.zeros(xd.shape[1]), 0
+    loss = _allocating_mean_log_loss(xd @ theta, y)
+    while True:
+        gw, gb = log_loss_gradient(x, y, theta[:-1], theta[-1])
+        gnorm = float(np.sqrt(np.square(gw).sum() + gb * gb))
+        if gnorm <= hyper.tol or epochs >= hyper.max_epochs:
+            return theta[:-1], float(theta[-1]), epochs, gnorm
+        grad, p = np.append(gw, gb), _sigmoid(xd @ theta)
+        hess = xd.T @ (xd * (p * (1.0 - p))[:, None]) / len(y)
+        step = -np.linalg.lstsq(hess, grad, rcond=None)[0]
+        t, slope, slack = 1.0, float(grad @ step), 1e-13 * loss
+        while (new := _allocating_mean_log_loss(xd @ (theta + t * step), y)) > (
+            loss + 1e-4 * t * slope + slack
+        ):
+            if t < 1e-12:  # no descent along the Newton direction
+                return theta[:-1], float(theta[-1]), epochs, gnorm
+            t /= 2
+        theta, loss, epochs = theta + t * step, new, epochs + 1
+
+
+# the default, no step, a few steps, and a tolerance no fit reaches, under
+# which separable rows end at the line search's give-up
+_HYPERS = (
+    TrainConfig(), TrainConfig(max_epochs=0), TrainConfig(max_epochs=3),
+    TrainConfig(max_epochs=60, tol=0.0),
+)
+
+
+class TestNewtonAgainstAllocating:
+    @staticmethod
+    def _same_solve(ds, strategy, hyper):
+        _, x = _fit_encoder(ds, list(ds.feature_names), MitigationSpec(strategy).uses_sensitive)
+        y = ds.target.astype(float)
+        w, b, epochs, gnorm = modeling._newton(x, y, hyper)
+        ow, ob, oepochs, ognorm = _allocating_newton(x, y, hyper)
+        assert np.array_equal(_bits(w), _bits(ow))
+        assert _bits(b) == _bits(ob)
+        assert epochs == oepochs
+        assert _bits(gnorm) == _bits(ognorm)
+        return epochs, gnorm
+
+    @settings(max_examples=60, deadline=None)
+    @given(_designs(), st.sampled_from(_HYPERS))
+    def test_bit_identical(self, case, hyper):
+        self._same_solve(*case, hyper)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_designs(separable=True), st.floats(0.05, 1.0), st.sampled_from(_HYPERS))
+    def test_bit_identical_when_separable(self, case, gap, hyper):
+        ds, strategy = case
+        self._same_solve(_margin_relabelled(ds, gap), strategy, hyper)
+
+    def test_bit_identical_at_the_line_search_give_up(self):
+        # separable rows: the loss underflows towards 0 until no step lowers it
+        rng = np.random.default_rng(23)
+        ds = _margin_relabelled(_random_design(rng, int(rng.integers(40, 150)), 3, [2], 0), 0.3)
+        hyper = _HYPERS[-1]
+        epochs, gnorm = self._same_solve(ds, FULL, hyper)
+        assert epochs < hyper.max_epochs and gnorm > hyper.tol
+
+
+class TestRowMemo:
+    @settings(max_examples=40, deadline=None)
+    @given(_designs())
+    def test_shared_work_changes_no_bits(self, case):
+        ds, strategy = case
+        memo = modeling.RowMemo(ds)
+        specs = [MitigationSpec(strategy), MitigationSpec(FULL)]
+        if ds.features:
+            specs.append(MitigationSpec(SUPPRESSION, threshold=1.0))
+        for spec in specs:
+            shared, own = train(ds, spec, memo=memo), train(ds, spec)
+            assert np.array_equal(_bits(shared.weights), _bits(own.weights))
+            assert _bits(shared.intercept) == _bits(own.intercept)
+            assert shared.suppression == own.suppression
+            assert shared.encoder.to_json_dict() == own.encoder.to_json_dict()
+            assert np.array_equal(_bits(score(shared, ds, memo)), _bits(predict(own, ds).scores))
+
+    def test_recoded_rows_build_their_own_blocks(self):
+        # the memo's X3 block holds the other file's codes: scoring a model
+        # that recodes those rows must not take it
+        ds = generate(SynthConfig(n=600, target="high", seed=21))
+        other = TestPersistence.relabelled(ds)
+        memo = modeling.RowMemo(other)
+        train(other, MitigationSpec(FULL), memo=memo)
+        model = train(ds, MitigationSpec(FULL))
+        assert np.array_equal(score(model, other, memo), predict(model, ds).scores)
+
+    def test_memo_of_other_rows_rejected(self):
+        ds, other = simple_ds(seed=1), simple_ds(seed=2)
+        with pytest.raises(ValueError, match="other rows"):
+            train(ds, MitigationSpec(FULL), memo=modeling.RowMemo(other))
+        with pytest.raises(ValueError, match="other rows"):
+            score(train(ds, MitigationSpec(FULL)), ds, modeling.RowMemo(other))
 
 
 # ---------------------------------------------------------------------------

@@ -5,20 +5,21 @@ import numpy as np
 import pytest
 
 import fairaudit.synth_experiment as se
+from fairaudit import modeling
 from fairaudit.causal import sample
 from fairaudit.cli import main
 from fairaudit.data import Dataset, SensitiveAttribute, split
-from fairaudit.individual_metrics import flip_assessment
+from fairaudit.individual_metrics import _flipped, flip_assessment
 from fairaudit.info_theory import symmetric_uncertainty_codes
 from fairaudit.modeling import (
     CDP_POST,
-    DP_POST,
     FTU,
     FULL,
     SUPPRESSION,
     MitigationSpec,
     fit_policy,
     predict,
+    score,
     train,
 )
 from fairaudit.seeding import derive_seed
@@ -178,26 +179,40 @@ class TestOneFitPerModel:
         assert calls == [FTU, SUPPRESSION, SUPPRESSION, CDP_POST] * 2
 
     def test_shared_model_equals_its_own_fit(self, monkeypatch):
+        # DP and CDP fit their policies on the train scores of the model
+        # they share: those must be the scores of each one's own fit
         fitted = []
 
-        def recorded(ds, model):
-            fitted.append((ds, model))
-            return fit_policy(ds, model)
+        def recorded(fit):
+            def fit_and_record(*args):
+                fitted.append((fit.__name__, args))
+                return fit(*args)
+            return fit_and_record
 
-        monkeypatch.setattr(se, "fit_policy", recorded)
-        run_experiment(seed=3, n=1500)
-        post = [(ds, m) for ds, m in fitted if m.spec.strategy in (DP_POST, CDP_POST)]
-        assert [m.spec.strategy for _, m in post] == [CDP_POST, DP_POST] * 2
-        for ds, model in post:
-            own = train(ds, model.spec)
-            assert own.spec == model.spec
-            assert np.array_equal(own.weights, model.weights)
-            assert own.intercept == model.intercept
-            assert (own.epochs, own.final_grad_norm, own.converged) == (
-                model.epochs, model.final_grad_norm, model.converged
+        for name in ("fit_dp_threshold_scores", "fit_cdp_threshold_scores"):
+            monkeypatch.setattr(se, name, recorded(getattr(se, name)))
+        report = run_experiment(seed=3, n=1500)
+        assert [name for name, _ in fitted] == [
+            "fit_dp_threshold_scores", "fit_cdp_threshold_scores"
+        ] * 2
+        datasets = synthetic_datasets(3, 1500, report.noise_interpretation)
+        for (name, ds, conditioning), (_, dp), (_, cdp) in zip(
+            datasets, fitted[0::2], fitted[1::2]
+        ):
+            train_ds, _ = split(ds, fraction=0.7, seed=derive_seed(3, f"split:{name}"))
+            own_dp, own_cdp = (
+                train(train_ds, approach_spec(a, conditioning)) for a in ("DP", "CDP")
             )
-            assert own.encoder.to_json_dict() == model.encoder.to_json_dict()
-            assert own.suppression == model.suppression
+            assert np.array_equal(own_dp.weights, own_cdp.weights)
+            assert own_dp.intercept == own_cdp.intercept
+            assert (own_dp.epochs, own_dp.final_grad_norm, own_dp.converged) == (
+                own_cdp.epochs, own_cdp.final_grad_norm, own_cdp.converged
+            )
+            assert own_dp.encoder.to_json_dict() == own_cdp.encoder.to_json_dict()
+            own_scores = predict(own_dp, train_ds).scores
+            assert np.array_equal(dp[0], own_scores)
+            assert np.array_equal(cdp[0].target, train_ds.target)
+            assert np.array_equal(cdp[1], own_scores)
 
     @pytest.mark.parametrize("noise", ["std", "variance"])
     def test_flip_shortcut_equals_flip_assessment(self, noise):
@@ -207,9 +222,10 @@ class TestOneFitPerModel:
             for spec in specs + [MitigationSpec(FULL)]:  # FULL reads A without a policy
                 model = train(train_ds, spec)
                 policy = fit_policy(train_ds, model)
-                assert _flip_report(model, policy, test_ds) == flip_assessment(
-                    test_ds, lambda d: predict(model, d, policy)
-                )
+                assert _flip_report(
+                    model, policy, test_ds, predict(model, test_ds, policy).decisions,
+                    lambda: score(model, _flipped(test_ds)),
+                ) == flip_assessment(test_ds, lambda d: predict(model, d, policy))
 
     def test_multi_group_attribute_is_still_refused(self):
         ds = generate(SynthConfig(n=600, seed=4))
@@ -219,7 +235,56 @@ class TestOneFitPerModel:
         )
         model = train(three, approach_spec("FTU"))
         with pytest.raises(ValueError, match="non-binary"):
-            _flip_report(model, None, three)
+            _flip_report(model, None, three, predict(model, three).decisions, None)
+
+
+class TestEachPieceOnce:
+    def test_scorings_scans_and_correlations_per_dataset(self, monkeypatch):
+        scored, scans, correlated = [], [], []
+
+        def counted(log, fn, entry):
+            def wrapper(*args, **kwargs):
+                log.append(entry(*args))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(se, "score", counted(scored, se.score, lambda m, ds, *_: (m, ds)))
+        scan = counted(scans, modeling.fit_dp_threshold_scores, lambda scores, *_: len(scores))
+        monkeypatch.setattr(se, "fit_dp_threshold_scores", scan)
+        monkeypatch.setattr(modeling, "fit_dp_threshold_scores", scan)
+        monkeypatch.setattr(
+            modeling, "_feature_corr",
+            counted(correlated, modeling._feature_corr, lambda ds, col: col.name),
+        )
+        report = run_experiment(seed=3, n=1500)
+
+        def rows(ds, train_ds, test_ds):
+            groups = ds.sensitive.values
+            if ds.n == train_ds.n and np.array_equal(groups, train_ds.sensitive.values):
+                return "train"
+            if np.array_equal(groups, test_ds.sensitive.values):
+                return "test"
+            assert np.array_equal(groups, 1 - test_ds.sensitive.values)
+            return "flipped"
+
+        datasets = synthetic_datasets(3, 1500, report.noise_interpretation)
+        assert len(scored) == 6 * len(datasets)
+        for k, (name, ds, _) in enumerate(datasets):
+            train_ds, test_ds = split(ds, fraction=0.7, seed=derive_seed(3, f"split:{name}"))
+            got = [
+                (m.spec.strategy, rows(d, train_ds, test_ds)) for m, d in scored[6 * k : 6 * k + 6]
+            ]
+            # FTU and both suppressions on the test rows; the model that CDP
+            # and DP share on the train, test and flipped test rows
+            assert got == [
+                (FTU, "test"), (SUPPRESSION, "test"), (SUPPRESSION, "test"),
+                (CDP_POST, "train"), (CDP_POST, "test"), (CDP_POST, "flipped"),
+            ]
+            # one global DP scan, then one per X3 stratum
+            strata = np.bincount(train_ds.feature("X3").values)
+            assert scans[3 * k : 3 * k + 3] == [train_ds.n, *strata.tolist()]
+        assert len(scans) == 3 * len(datasets)
+        assert correlated == ["X1", "X2", "X3"] * len(datasets)
 
 
 # sha256 of (experiment.csv, experiment.json) written by
