@@ -92,7 +92,7 @@ def _cdp(a):
 
 def _flip(a):
     rep = individual_metrics.flip_assessment(
-        a.ds, lambda d: modeling.predict(a.model, d, a.policy), decisions=a.model_preds
+        a.ds, lambda d: modeling.predict(a.model, d), decisions=a.model_preds
     )
     return {
         "metric": "flip",
@@ -139,7 +139,7 @@ CRITERIA = (
     ),
     Criterion(
         "consistency",
-        (("decisions", "consistency needs binary decisions"),),
+        individual_metrics.CONSISTENCY_NEEDS,
         lambda a: {
             "metric": "consistency",
             "value": individual_metrics._consistency(a.ds, a.preds, a.args.k, a.encoded),
@@ -147,7 +147,7 @@ CRITERIA = (
     ),
     Criterion(
         "similarity_weighted_disparity",
-        (("decisions", "similarity_weighted_disparity needs binary decisions"),),
+        individual_metrics.DISPARITY_NEEDS,
         lambda a: {
             "metric": "similarity_weighted_disparity",
             "value": individual_metrics._similarity_weighted_disparity(a.ds, a.preds, a.encoded),
@@ -217,11 +217,11 @@ def cmd_audit(args):
     preds = None
     if pred_cols:
         preds = load_predictions(args.data, pred_cols.get("decisions"), pred_cols.get("scores"))
-    model = policy = None
+    model = None
     if args.model:
-        model, policy = modeling.load_model(args.model)
+        model = modeling.load_model(args.model)
         if preds is None:
-            preds = modeling.predict(model, ds, policy)
+            preds = modeling.predict(model, ds)
     requested = []
     for raw in args.metrics.split(","):
         name = ALIASES.get(raw.strip(), raw.strip())
@@ -244,7 +244,7 @@ def cmd_audit(args):
         "euclidean_raw" if args.distance == "raw" else "euclidean_standardized"
     )
     inputs = SimpleNamespace(
-        ds=ds, preds=preds, model=model, policy=policy, args=args, dist=dist,
+        ds=ds, preds=preds, model=model, args=args, dist=dist,
         # the model's own decisions, unless preds came from --predictions
         model_preds=None if pred_cols else preds,
         stats=group_metrics.compute_group_stats(ds, preds),
@@ -319,8 +319,8 @@ def cmd_train(args):
         *head, last = modeling.STRATEGIES
         raise UsageError(f"strategy must be {', '.join(head)}, or {last}")
     hyper = modeling.TrainConfig(args.max_epochs)
-    model = modeling.train(ds, spec, hyper, args.seed)
-    modeling.save_model(model, args.model_out, modeling.fit_policy(ds, model))
+    model = modeling.train(ds, spec, hyper)
+    modeling.save_model(model, args.model_out)
     if model.suppression is not None:
         dropped = ", ".join(f"{n} (|corr|={c:.3f})" for n, c in model.suppression.dropped)
         print(f"suppression dropped: {dropped or 'nothing'}", file=sys.stderr)

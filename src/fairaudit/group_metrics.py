@@ -425,6 +425,17 @@ def calibration_within_groups(ds, preds, bins=10, min_count=30):
     return CalibrationReport(rep, bin_detail, excluded)
 
 
+def _cell_key(group, stratum):
+    """A policy cell's JSON key: ``"<group>|<stratum>"``, ``-`` for no stratum."""
+    return f"{group}|{'-' if stratum is None else stratum}"
+
+
+def _parse_cell_key(key):
+    """The ``(group, stratum or None)`` cell that :func:`_cell_key` wrote as ``key``."""
+    group, _, stratum = key.partition("|")
+    return int(group), None if stratum == "-" else int(stratum)
+
+
 @dataclass(frozen=True)
 class ThresholdPolicy:
     """Per-group (optionally per-stratum) decision thresholds over scores.
@@ -453,32 +464,20 @@ class ThresholdPolicy:
 
     def to_json_dict(self):
         return {
-            "cells": {
-                f"{g}|{'-' if s is None else s}": t for (g, s), t in self.cells.items()
-            },
+            "cells": {_cell_key(*cell): t for cell, t in self.cells.items()},
             "target_rate": self.target_rate,
             "stratum_column": self.stratum_column,
-            "fallback_cells": [
-                f"{g}|{'-' if s is None else s}" for g, s in self.fallback_cells
-            ],
+            "fallback_cells": [_cell_key(*cell) for cell in self.fallback_cells],
             "flags": list(self.flags),
         }
 
     @classmethod
     def from_json_dict(cls, doc):
-        cells = {}
-        for key, t in doc["cells"].items():
-            g, _, s = key.partition("|")
-            cells[(int(g), None if s == "-" else int(s))] = float(t)
         return cls(
-            cells,
+            {_parse_cell_key(key): float(t) for key, t in doc["cells"].items()},
             doc.get("target_rate"),
             doc.get("stratum_column"),
-            tuple(
-                (int(k.partition("|")[0]),
-                 None if k.partition("|")[2] == "-" else int(k.partition("|")[2]))
-                for k in doc.get("fallback_cells", ())
-            ),
+            tuple(_parse_cell_key(key) for key in doc.get("fallback_cells", ())),
             tuple(doc.get("flags", ())),
         )
 

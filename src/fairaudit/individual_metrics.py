@@ -201,6 +201,9 @@ def _knn_means(x, dec, k):
     return (nb_pos[inv] - dec) / nb_count[inv]
 
 
+CONSISTENCY_NEEDS = (("decisions", "consistency needs binary decisions"),)
+
+
 def consistency(ds, preds, k=5, dist=DistanceSpec()):
     """One minus the mean decision deviation from the k nearest neighbours.
 
@@ -214,7 +217,7 @@ def consistency(ds, preds, k=5, dist=DistanceSpec()):
 def _consistency(ds, preds, k, encoded):
     """:func:`consistency` over the rows ``encoded()`` returns, called once
     the inputs pass their checks."""
-    group_metrics._require(ds, preds, (("decisions", "consistency needs binary decisions"),))
+    group_metrics._require(ds, preds, CONSISTENCY_NEEDS)
     n = ds.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must lie in [1, {n - 1}]")
@@ -270,6 +273,9 @@ def _block_row_sums(left, right, step):
     return sums
 
 
+DISPARITY_NEEDS = (("decisions", "similarity_weighted_disparity needs binary decisions"),)
+
+
 def similarity_weighted_disparity(ds, preds, dist=DistanceSpec()):
     """Cross-group decision differences weighted by feature similarity.
 
@@ -292,9 +298,7 @@ def similarity_weighted_disparity(ds, preds, dist=DistanceSpec()):
 def _similarity_weighted_disparity(ds, preds, encoded):
     """:func:`similarity_weighted_disparity` over the rows ``encoded()``
     returns, called once the inputs pass their checks."""
-    group_metrics._require(
-        ds, preds, (("decisions", "similarity_weighted_disparity needs binary decisions"),)
-    )
+    group_metrics._require(ds, preds, DISPARITY_NEEDS)
     if ds.sensitive.n_groups != 2:
         raise ValueError("binary sensitive attribute required; intersect/recode first")
     rej0, acc0, rej1, acc1 = cell_rows(ds.sensitive.values * 2 + preds.decisions, 4)

@@ -34,6 +34,7 @@ spelling to one of them):
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, replace
 
@@ -242,33 +243,21 @@ def _one_hot_observed(codes, levels, what):
     return block
 
 
-def _raw_design(ds, columns, include_sensitive, sensitive_levels, blocks=None):
+def _raw_design(ds, columns, include_sensitive, sensitive_levels):
     """The unstandardised design of ``ds``: a column per continuous feature
-    and a one-hot per categorical one, then the groups' one-hot if asked.
-
-    ``blocks``, a dict, keeps the one-hots built from ``ds``'s rows so far,
-    by (column name or None for the groups, levels), so that other designs
-    of the same rows take them from it instead of building them again.
-    """
-    blocks = {} if blocks is None else blocks
-
-    def one_hot(name, codes, levels, what):
-        if (name, levels) not in blocks:
-            blocks[(name, levels)] = _one_hot_observed(codes, levels, what)
-        return blocks[(name, levels)]
-
+    and a one-hot per categorical one, then the groups' one-hot if asked."""
     parts = []
     for name, kind, levels in columns:
         col = ds.feature(name)
         if kind != col.kind:
             raise ValueError(f"column {name!r} changed kind since training")
         if kind == CATEGORICAL:
-            parts.append(one_hot(name, col.values, levels, f"column {name!r}"))
+            parts.append(_one_hot_observed(col.values, levels, f"column {name!r}"))
         else:
             parts.append(col.values.reshape(-1, 1))
     if include_sensitive:
         parts.append(
-            one_hot(None, ds.sensitive.values, sensitive_levels, "the sensitive attribute")
+            _one_hot_observed(ds.sensitive.values, sensitive_levels, "the sensitive attribute")
         )
     return np.hstack(parts) if parts else np.zeros((ds.n, 0))
 
@@ -286,13 +275,11 @@ def _observed_levels(codes):
     return tuple(np.flatnonzero(np.bincount(codes)).tolist())
 
 
-def _fit_encoder(ds, feature_names, include_sensitive, blocks=None):
+def _fit_encoder(ds, feature_names, include_sensitive):
     """The encoder fitted on ``ds``, and ``ds`` encoded by it.
 
-    ``blocks`` shares one-hots between designs of ``ds``'s rows
-    (:func:`_raw_design`). The means and scales are those of this design's
-    own columns: a column's mean taken inside a wider design can differ in
-    its last bit.
+    The means and scales are those of this design's own columns: a
+    column's mean taken inside a wider design can differ in its last bit.
     """
     columns = []
     for name in feature_names:
@@ -300,7 +287,7 @@ def _fit_encoder(ds, feature_names, include_sensitive, blocks=None):
         levels = _observed_levels(col.values) if col.kind == CATEGORICAL else None
         columns.append((name, col.kind, levels))
     sens_levels = _observed_levels(ds.sensitive.values)
-    raw = _raw_design(ds, tuple(columns), include_sensitive, sens_levels, blocks)
+    raw = _raw_design(ds, tuple(columns), include_sensitive, sens_levels)
     means, scales = _standardisation(raw)
     labels = {c.name: c.code_labels for c in ds.features if c.kind == CATEGORICAL}
     enc = _Encoder(
@@ -310,24 +297,26 @@ def _fit_encoder(ds, feature_names, include_sensitive, blocks=None):
     return enc, (raw - means) / scales
 
 
-def _encode(ds, enc, blocks=None):
-    raw = _raw_design(ds, enc.columns, enc.include_sensitive, enc.sensitive_levels, blocks)
+def _encode(ds, enc):
+    raw = _raw_design(ds, enc.columns, enc.include_sensitive, enc.sensitive_levels)
     return (raw - enc.means) / enc.scales
 
 
 class RowMemo:
     """Work on one dataset's rows that several models of those rows share.
 
-    :func:`train` and :func:`score` take each one-hot block of a design
-    from it, built once, and :func:`train` each feature's suppression
-    correlation, computed once. It holds no model; keep it while training
-    and scoring models of ``ds``'s rows, and drop it with them.
+    :func:`train` takes from it each feature's suppression correlation and
+    each Newton fit, with that fit's scores on the rows and its global DP
+    policy, each computed once. A fit is keyed by what it reads: the kept
+    features, whether the attribute is used, and the :class:`TrainConfig`;
+    so the DP and CDP models of the rows share one fit and one global
+    scan. Keep it while training models of ``ds``'s rows, and drop it with
+    them.
     """
 
     def __init__(self, ds):
         self.ds = ds
-        self.blocks = {}
-        self._corr = {}
+        self._corr, self._fits = {}, {}
 
     def correlation(self, name):
         """The suppression correlation of feature ``name`` (:func:`_feature_corr`)."""
@@ -335,14 +324,39 @@ class RowMemo:
             self._corr[name] = _feature_corr(self.ds, self.ds.feature(name))
         return self._corr[name]
 
+    def fit(self, names, include_sensitive, hyper):
+        """The :class:`_Fit` of features ``names``, and the groups if
+        ``include_sensitive``, on the rows under ``hyper``."""
+        key = (tuple(names), include_sensitive, hyper)
+        if key not in self._fits:
+            self._fits[key] = _Fit(self.ds, names, include_sensitive, hyper)
+        return self._fits[key]
 
-def _memo_of(ds, memo):
-    """``memo`` once it is checked to be of ``ds``'s rows, or a new one."""
-    if memo is None:
-        return RowMemo(ds)
-    if memo.ds is not ds:
-        raise ValueError("the row memo was made for other rows")
-    return memo
+
+class _Fit:
+    """One Newton fit of a design of ``ds``'s rows, with its logits on them."""
+
+    def __init__(self, ds, names, include_sensitive, hyper):
+        self.ds = ds
+        self.encoder, x = _fit_encoder(ds, names, include_sensitive)
+        y = ds.target.astype(float)
+        self.weights, self.intercept, self.epochs, self.final_grad_norm = _newton(x, y, hyper)
+        self.logits = x @ self.weights + self.intercept
+        separated = bool(np.all(np.where(y == 1, self.logits, -self.logits) > 0))
+        self.converged = self.final_grad_norm <= hyper.tol and not separated
+
+    @functools.cached_property
+    def scores(self):
+        """The fitted model's scores on the rows: those :func:`score` gives."""
+        return _sigmoid(self.logits)
+
+    @functools.cached_property
+    def dp_policy(self):
+        """:func:`fit_dp_threshold_scores` of the scores on the rows."""
+        ds = self.ds
+        return fit_dp_threshold_scores(
+            self.scores, ds.sensitive.values, ds.sensitive.n_groups, ds.target
+        )
 
 
 @dataclass(frozen=True)
@@ -351,7 +365,9 @@ class ClassifierModel:
 
     ``converged``: the gradient norm reached ``tol`` and the scores do not
     separate the training labels (if they do, no maximum-likelihood fit
-    exists)."""
+    exists). ``policy`` is the threshold policy that ``dp_post`` and
+    ``cdp_post`` decide by, fitted on the training rows; None for the
+    strategies that threshold scores at one half."""
 
     weights: np.ndarray
     intercept: float
@@ -361,6 +377,7 @@ class ClassifierModel:
     epochs: int = 0
     final_grad_norm: float = float("nan")
     converged: bool = False
+    policy: ThresholdPolicy | None = None
 
     @property
     def trained_with_sensitive(self):
@@ -399,20 +416,23 @@ def _feature_corr(ds, col):
     return _sensitive_indicator_corr(ds, col.values)
 
 
-def train(ds, spec=MitigationSpec(), hyper=TrainConfig(), seed=0, memo=None):
+def train(ds, spec=MitigationSpec(), hyper=TrainConfig(), memo=None):
     """Fit the built-in classifier under a mitigation strategy.
 
-    Deterministic: identical inputs give bit-identical weights (the seed is
-    accepted for interface uniformity; nothing here draws randomness).
+    Deterministic: identical inputs give bit-identical weights.
     Post-processing strategies train on all features including the
-    sensitive attribute; the threshold policy itself is fitted separately
-    (:func:`fit_dp_threshold` / :func:`fit_cdp_threshold`). ``memo``, a
-    :class:`RowMemo` of ``ds``, shares design blocks and suppression
-    correlations with the other models of the same rows.
+    sensitive attribute, and the model carries the threshold policy fitted
+    on its scores on ``ds``'s rows (:func:`fit_dp_threshold_scores`,
+    :func:`fit_cdp_threshold_scores`). ``memo``, a :class:`RowMemo` of
+    ``ds``, shares suppression correlations, Newton fits and global DP
+    policies with the other models of the same rows.
     """
     if ds.target is None or ds.n == 0:
         raise ValueError("training needs rows with the ground-truth target")
-    memo = _memo_of(ds, memo)
+    if memo is None:
+        memo = RowMemo(ds)
+    elif memo.ds is not ds:
+        raise ValueError("the row memo was made for other rows")
     names = list(ds.feature_names)
     suppression = None
     if spec.strategy == SUPPRESSION:
@@ -429,14 +449,19 @@ def train(ds, spec=MitigationSpec(), hyper=TrainConfig(), seed=0, memo=None):
         names = [n for n in names if n not in spec.drop_features]
     if not names and not spec.uses_sensitive:
         raise ValueError("all features dropped; the model would be degenerate")
+    if spec.strategy == CDP_POST:
+        ds.column_codes(spec.conditioning)  # an unknown or continuous column raises first
 
-    enc, x = _fit_encoder(ds, names, spec.uses_sensitive, memo.blocks)
-    y = ds.target.astype(float)
-    w, b, epochs, gnorm = _newton(x, y, hyper)
-    z = x @ w + b
-    separated = bool(np.all(np.where(y == 1, z, -z) > 0))
-    converged = gnorm <= hyper.tol and not separated
-    return ClassifierModel(w, b, enc, spec, suppression, epochs, gnorm, converged)
+    fit = memo.fit(names, spec.uses_sensitive, hyper)
+    policy = None
+    if spec.strategy == DP_POST:
+        policy = fit.dp_policy
+    elif spec.strategy == CDP_POST:
+        policy = fit_cdp_threshold_scores(ds, fit.scores, spec.conditioning, fit.dp_policy)
+    return ClassifierModel(
+        fit.weights, fit.intercept, fit.encoder, spec, suppression,
+        fit.epochs, fit.final_grad_norm, fit.converged, policy,
+    )
 
 
 def _mean_log_loss(z, sign, out):
@@ -491,27 +516,24 @@ def _newton(x, y, hyper):
         theta, loss, z, epochs = theta + t * step, new, zt, epochs + 1
 
 
-def score(model, ds, memo=None):
+def score(model, ds):
     """The model's scores (logistic outputs) on ``ds``'s rows.
 
     Categorical levels and groups are matched to the training data by
     label; unseen ones raise: silently defaulting a level would fabricate
-    scores. ``memo``, a :class:`RowMemo` of ``ds``, shares design blocks
-    with the other models trained on or scoring the same rows.
+    scores.
     """
-    memo = _memo_of(ds, memo)
-    coded = _in_training_codes(ds, model.encoder)
-    # the memo's blocks hold ds's own codes, which recoding would change
-    x = _encode(coded, model.encoder, memo.blocks if coded is ds else None)
+    x = _encode(_in_training_codes(ds, model.encoder), model.encoder)
     return _sigmoid(x @ model.weights + model.intercept)
 
 
-def decide(model, ds, scores, policy=None):
+def decide(model, ds, scores):
     """The model's decisions on ``ds``'s rows, from its ``scores`` on them.
 
-    Decisions follow the threshold policy when given, else the fixed rule
-    score >= 0.5. Returns the decisions with the scores.
+    Decisions follow the model's threshold policy when it has one, else the
+    fixed rule score >= 0.5. Returns the decisions with the scores.
     """
+    policy = model.policy
     if policy is None:
         return PredictionSet((scores >= 0.5).astype(int), scores)
     ds = _in_training_codes(ds, model.encoder)
@@ -520,9 +542,9 @@ def decide(model, ds, scores, policy=None):
     return apply_threshold(PredictionSet(scores=scores), policy, ds.sensitive, strata)
 
 
-def predict(model, ds, policy=None):
+def predict(model, ds):
     """Scores and decisions for a dataset: :func:`decide` of :func:`score`."""
-    return decide(model, ds, score(model, ds), policy)
+    return decide(model, ds, score(model, ds))
 
 
 def fit_dp_threshold_scores(scores, groups, n_groups, target, grid_size=100):
@@ -568,43 +590,15 @@ def fit_dp_threshold_scores(scores, groups, n_groups, target, grid_size=100):
     )
 
 
-def _fit_scores(ds, model):
-    if ds.target is None:
-        raise ValueError("threshold fitting needs the ground-truth target")
-    return score(model, ds)
-
-
-def fit_dp_threshold(ds, model, grid_size=100):
-    """Per-group thresholds enforcing a common acceptance rate on ``ds``."""
-    ds = _in_training_codes(ds, model.encoder)
-    return fit_dp_threshold_scores(
-        _fit_scores(ds, model), ds.sensitive.values, ds.sensitive.n_groups,
-        ds.target, grid_size,
-    )
-
-
-def fit_cdp_threshold(ds, model, conditioning, grid_size=100, min_count=30):
-    """DP thresholds fitted independently inside each stratum.
-
-    Strata with fewer than ``min_count`` rows fall back to the global
-    policy, as do group cells absent from a stratum; both are flagged so
-    the report can disclose them.
-    """
-    ds = _in_training_codes(ds, model.encoder)
-    ds.column_codes(conditioning)  # an unknown or continuous column raises first
-    scores = _fit_scores(ds, model)
-    glob = fit_dp_threshold_scores(
-        scores, ds.sensitive.values, ds.sensitive.n_groups, ds.target, grid_size
-    )
-    return fit_cdp_threshold_scores(ds, scores, conditioning, glob, grid_size, min_count)
-
-
 def fit_cdp_threshold_scores(ds, scores, conditioning, glob, grid_size=100, min_count=30):
-    """:func:`fit_cdp_threshold` straight from a model's ``scores`` on
-    ``ds``'s rows, in the model's training codes.
+    """DP thresholds fitted independently inside each stratum of
+    ``conditioning``, from a model's ``scores`` on ``ds``'s rows in the
+    model's training codes.
 
     ``glob`` is the global policy, :func:`fit_dp_threshold_scores` of the
-    same scores and grid, which fills the cells that fall back.
+    same scores and grid. Strata with fewer than ``min_count`` rows fall
+    back to it, as do group cells absent from a stratum; both are flagged
+    so the report can disclose them.
     """
     codes, labels = ds.column_codes(conditioning)
     groups, n_groups = ds.sensitive.values, ds.sensitive.n_groups
@@ -632,20 +626,8 @@ def fit_cdp_threshold_scores(ds, scores, conditioning, glob, grid_size=100, min_
     )
 
 
-def fit_policy(ds, model):
-    """The threshold policy of a post-processing model, fitted on ``ds``.
-
-    None for the strategies that threshold scores at one half.
-    """
-    if model.spec.strategy == DP_POST:
-        return fit_dp_threshold(ds, model)
-    if model.spec.strategy == CDP_POST:
-        return fit_cdp_threshold(ds, model, model.spec.conditioning)
-    return None
-
-
-def save_model(model, path, policy=None):
-    """Serialise a model (and optional threshold policy) to JSON."""
+def save_model(model, path):
+    """Serialise a model, with its threshold policy, to JSON."""
     doc = {
         "kind": "logistic",
         "weights": model.weights.tolist(),
@@ -656,7 +638,7 @@ def save_model(model, path, policy=None):
         "epochs": model.epochs,
         "final_grad_norm": model.final_grad_norm,
         "converged": model.converged,
-        "policy": None if policy is None else policy.to_json_dict(),
+        "policy": None if model.policy is None else model.policy.to_json_dict(),
     }
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
@@ -664,7 +646,7 @@ def save_model(model, path, policy=None):
 
 
 def load_model(path):
-    """Load a model saved by :func:`save_model`; returns (model, policy).
+    """Load a model saved by :func:`save_model`.
 
     Files written before ``converged`` was recorded derive it from the
     gradient norm and the default tolerance.
@@ -676,7 +658,8 @@ def load_model(path):
         supp["threshold"], tuple(map(tuple, supp["dropped"])), tuple(supp["kept"])
     )
     grad_norm = doc.get("final_grad_norm", float("nan"))
-    model = ClassifierModel(
+    policy = doc.get("policy")
+    return ClassifierModel(
         np.asarray(doc["weights"], dtype=float),
         float(doc["intercept"]),
         _Encoder.from_json_dict(doc["encoder"]),
@@ -685,6 +668,5 @@ def load_model(path):
         doc.get("epochs", 0),
         grad_norm,
         doc.get("converged", grad_norm <= TrainConfig().tol),
+        None if policy is None else ThresholdPolicy.from_json_dict(policy),
     )
-    policy = doc.get("policy")
-    return model, None if policy is None else ThresholdPolicy.from_json_dict(policy)

@@ -22,7 +22,7 @@ percentages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import causal
 from .causal import Assignment, Dag, NoiseSpec, Scm
@@ -34,13 +34,10 @@ from .modeling import (
     CDP_POST,
     DP_POST,
     FTU,
-    FULL,
     SUPPRESSION,
     MitigationSpec,
     RowMemo,
     decide,
-    fit_cdp_threshold_scores,
-    fit_dp_threshold_scores,
     score,
     train,
 )
@@ -302,68 +299,31 @@ def approach_spec(approach, conditioning=None, synthetic=True):
     raise ValueError(f"unknown approach {approach!r}")
 
 
-def _training_spec(spec):
-    """The part of ``spec`` that :func:`train` reads.
-
-    Post-processing strategies train the model that ``full`` trains; only
-    the threshold policy fitted afterwards tells them apart.
-    """
-    if spec.strategy in (DP_POST, CDP_POST):
-        return replace(spec, strategy=FULL, conditioning=None)
-    return spec
-
-
 class _SharedWork:
-    """The work that the approaches of one dataset share.
+    """The test-row scores that the approaches of one dataset share.
 
-    Each distinct model (:func:`_training_spec`) is trained once, and
-    scores each row set once: the train rows, which the threshold policies
-    are fitted on, the test rows, and the test rows with the attribute
-    flipped. The global DP policy of each model is fitted once, for DP and
-    as CDP's fallback, and each row set's design blocks and suppression
-    correlations are computed once (:class:`~fairaudit.modeling.RowMemo`).
-    It lives for one dataset's loop.
+    Models of one Newton fit (CDP and DP post-process the fit that
+    ``full`` makes) score the test rows, and the test rows with the
+    attribute flipped, once each. A model's fit is named by the features
+    its encoder reads and whether it reads the attribute. It lives for one
+    dataset's loop.
     """
 
-    def __init__(self, train_ds, test_ds):
-        self.rows = {"train": RowMemo(train_ds), "test": RowMemo(test_ds)}
-        self.models, self._scores, self._dp = {}, {}, {}
+    def __init__(self, test_ds):
+        self.rows = {"test": test_ds}
+        self._scores = {}
 
-    def model(self, spec, seed):
-        key = _training_spec(spec)
-        if key not in self.models:
-            memo = self.rows["train"]
-            self.models[key] = train(memo.ds, spec, seed=seed, memo=memo)
-        return replace(self.models[key], spec=spec)
-
-    def scores(self, spec, rows):
-        """The scores of ``spec``'s trained model on ``rows``: "train",
-        "test" or "flipped"."""
-        key = (_training_spec(spec), rows)
+    def scores(self, model, rows):
+        """The scores of ``model`` on ``rows``: "test" or "flipped"."""
+        key = (model.encoder.columns, model.encoder.include_sensitive, rows)
         if key not in self._scores:
             if rows not in self.rows:  # the flipped test rows, made on first use
-                self.rows[rows] = RowMemo(_flipped(self.rows["test"].ds))
-            memo = self.rows[rows]
-            self._scores[key] = score(self.models[key[0]], memo.ds, memo)
+                self.rows[rows] = _flipped(self.rows["test"])
+            self._scores[key] = score(model, self.rows[rows])
         return self._scores[key]
 
-    def policy(self, spec):
-        """The threshold policy of ``spec``, fitted on the train rows; None
-        for the strategies that threshold scores at one half."""
-        if spec.strategy not in (DP_POST, CDP_POST):
-            return None
-        ds, scores = self.rows["train"].ds, self.scores(spec, "train")
-        key = _training_spec(spec)
-        if key not in self._dp:
-            self._dp[key] = fit_dp_threshold_scores(
-                scores, ds.sensitive.values, ds.sensitive.n_groups, ds.target
-            )
-        if spec.strategy == DP_POST:
-            return self._dp[key]
-        return fit_cdp_threshold_scores(ds, scores, spec.conditioning, self._dp[key])
 
-
-def _flip_report(model, policy, ds, decisions, flipped_scores):
+def _flip_report(model, ds, decisions, flipped_scores):
     """:func:`flip_assessment` of the model's ``decisions`` on ``ds``;
     ``flipped_scores()`` gives its scores on ``ds`` with the attribute
     flipped.
@@ -371,33 +331,33 @@ def _flip_report(model, policy, ds, decisions, flipped_scores):
     Decisions that read neither the attribute nor a per-group policy cannot
     change when a binary attribute flips, so they are not scored again.
     """
-    if policy is None and not model.trained_with_sensitive and ds.sensitive.n_groups == 2:
+    if model.policy is None and not model.trained_with_sensitive and ds.sensitive.n_groups == 2:
         return FlipReport(0.0, 1.0)
     return flip_assessment(
-        ds, lambda flipped: decide(model, flipped, flipped_scores(), policy), decisions=decisions
+        ds, lambda flipped: decide(model, flipped, flipped_scores()), decisions=decisions
     )
 
 
-def evaluate_approach(name, train_ds, test_ds, conditioning, seed, synthetic=True, shared=None):
+def evaluate_approach(name, memo, shared, conditioning, synthetic):
     """Train one approach and measure the four table metrics on the test part.
 
-    ``test_ds`` must hold both classes (``run_experiment`` checks it once
-    per dataset): the ROC AUC is undefined otherwise. ``shared``, a
-    :class:`_SharedWork` of ``train_ds`` and ``test_ds``, holds the models,
-    scores and policies that approaches of the same dataset share.
+    ``memo`` is the :class:`~fairaudit.modeling.RowMemo` of the train
+    rows and ``shared`` the :class:`_SharedWork` of the test rows, which
+    the approaches of one dataset share. The test rows must hold both
+    classes (``run_experiment`` checks it once per dataset): the ROC AUC
+    is undefined otherwise.
     """
     spec = approach_spec(name, conditioning, synthetic)
-    shared = _SharedWork(train_ds, test_ds) if shared is None else shared
-    model = shared.model(spec, derive_seed(seed, f"train:{name}"))
-    policy = shared.policy(spec)
-    preds = decide(model, test_ds, shared.scores(spec, "test"), policy)
+    model = train(memo.ds, spec, memo=memo)
+    test_ds = shared.rows["test"]
+    preds = decide(model, test_ds, shared.scores(model, "test"))
     a_codes = test_ds.sensitive.values
     u = 100.0 * symmetric_uncertainty_codes(preds.decisions, a_codes)
     # post-processing emits decisions, not scores: rank on the final output
-    basis = "scores" if policy is None else "decisions"
+    basis = "scores" if model.policy is None else "decisions"
     auc = _auc_scores(test_ds.target, getattr(preds, basis))
     flip = _flip_report(
-        model, policy, test_ds, preds.decisions, lambda: shared.scores(spec, "flipped")
+        model, test_ds, preds.decisions, lambda: shared.scores(model, "flipped")
     )
     # the ratio reads decisions only: no score means or group AUCs
     dp = demographic_parity(test_ds, PredictionSet(preds.decisions))
@@ -434,8 +394,9 @@ def run_experiment(
     triples; by default the two built-in synthetic datasets are generated
     (under the calibrated noise reading unless one is forced) and
     conditioned on X3 for CDP. All randomness derives from ``seed``. Each
-    dataset trains each distinct model once (CDP and DP share one) and
-    scores each row set with it once (:class:`_SharedWork`). An
+    dataset makes each distinct Newton fit once (CDP and DP share one;
+    :class:`~fairaudit.modeling.RowMemo`) and scores the test rows with it
+    once (:class:`_SharedWork`). An
     approach that raises ``ValueError`` (e.g. it drops every feature) is
     reported as a :class:`FailedApproach` and the rest of the table is
     still computed; a test split that holds one class, where no approach
@@ -466,17 +427,11 @@ def run_experiment(
         )
         if len(set(test_ds.target.tolist())) < 2:
             raise ValueError(f"{name}: the test split holds one class, so ROC AUC is undefined")
-        cells, shared = {}, _SharedWork(train_ds, test_ds)
+        cells, memo, shared = {}, RowMemo(train_ds), _SharedWork(test_ds)
         for approach in APPROACHES:
             try:
                 cells[approach] = evaluate_approach(
-                    approach,
-                    train_ds,
-                    test_ds,
-                    conditioning,
-                    derive_seed(seed, f"cell:{name}:{approach}"),
-                    synthetic,
-                    shared,
+                    approach, memo, shared, conditioning, synthetic
                 )
             except ValueError as exc:
                 cells[approach] = FailedApproach(str(exc))

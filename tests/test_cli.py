@@ -458,6 +458,8 @@ STRATEGY_CASES = [
     ("supp:", EXIT_DATA, "data error: could not convert string to float: ''"),
     ("supp:2", EXIT_DATA, "data error: suppression threshold must lie in [0, 1]"),
     ("cdp:", EXIT_DATA, "data error: cdp_post needs a conditioning column"),
+    ("cdp:nope", EXIT_DATA, "data error: \"no feature column named 'nope'\""),
+    ("cdp:X1", EXIT_DATA, "data error: column 'X1' is continuous; bin it first (see quantile_bin)"),
 ]
 
 
@@ -1027,9 +1029,9 @@ class TestPinnedAuditReports:
         flip = json.loads((root / "p.json").read_text())["metrics"]["flip"]
         assert flip == json.loads((root / "m.json").read_text())["metrics"]["flip"]
         ds = load_csv(decisions, load_schema(schema), exclude=("pred",))
-        model, policy = modeling.load_model(model_path)
+        model = modeling.load_model(model_path)
         csv_decisions = load_predictions(decisions, "pred")
-        wrong = flip_assessment(ds, lambda d: real(model, d, policy), decisions=csv_decisions)
+        wrong = flip_assessment(ds, lambda d: real(model, d), decisions=csv_decisions)
         assert wrong.flip_rate != flip["flip_rate"]
 
 

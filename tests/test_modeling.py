@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize
@@ -32,10 +32,10 @@ from fairaudit.modeling import (
     _encode,
     _Encoder,
     _fit_encoder,
+    _in_training_codes,
     _mean_log_loss,
     _sigmoid,
-    fit_cdp_threshold,
-    fit_dp_threshold,
+    fit_cdp_threshold_scores,
     fit_dp_threshold_scores,
     load_model,
     log_loss_gradient,
@@ -235,10 +235,9 @@ class TestDpThreshold:
         y = (x > 0).astype(int)
         sa = SensitiveAttribute("g", a, ("g0", "g1"))
         ds = Dataset((FeatureColumn("x", CONTINUOUS, x),), sa, target=y)
-        model = train(ds, MitigationSpec(FULL), TrainConfig(max_epochs=4000))
-        base = predict(model, ds)
-        policy = fit_dp_threshold(ds, model, grid_size=100)
-        out = predict(model, ds, policy)
+        hyper, memo = TrainConfig(max_epochs=4000), modeling.RowMemo(ds)
+        base = predict(train(ds, MitigationSpec(FULL), hyper, memo), ds)
+        out = predict(train(ds, MitigationSpec(DP_POST), hyper, memo), ds)
         base_acc = (base.decisions == y).mean()
         out_acc = (out.decisions == y).mean()
         assert out_acc >= base_acc - 0.01
@@ -253,19 +252,16 @@ class TestDpThreshold:
             y = (x + rng.normal(0, 1, n) > 0.3).astype(int)
             sa = SensitiveAttribute("g", a, ("g0", "g1"))
             ds = Dataset((FeatureColumn("x", CONTINUOUS, x),), sa, target=y)
-            model = train(ds, MitigationSpec(FULL), TrainConfig(max_epochs=800))
-            policy = fit_dp_threshold(ds, model)
-            preds = predict(model, ds, policy)
-            rep = demographic_parity(ds, preds)
+            model = train(ds, MitigationSpec(DP_POST), TrainConfig(max_epochs=800))
+            rep = demographic_parity(ds, predict(model, ds))
             bound = 1.0 / min((a == 0).sum(), (a == 1).sum())
             assert rep.gap <= bound + 1e-12
 
     def test_needs_target(self):
         ds = simple_ds()
-        model = train(ds, MitigationSpec(FULL), TrainConfig(max_epochs=50))
         no_target = Dataset(ds.features, ds.sensitive)
         with pytest.raises(ValueError, match="target"):
-            fit_dp_threshold(no_target, model)
+            train(no_target, MitigationSpec(DP_POST), TrainConfig(max_epochs=50))
 
 
 class TestCdpThreshold:
@@ -292,17 +288,16 @@ class TestCdpThreshold:
             ds.sensitive,
             ds.target,
         )
-        model = train(const, MitigationSpec(FULL), TrainConfig(max_epochs=800))
-        glob = fit_dp_threshold(const, model)
-        cdp = fit_cdp_threshold(const, model, "s", min_count=1)
+        hyper, memo = TrainConfig(max_epochs=800), modeling.RowMemo(const)
+        glob = train(const, MitigationSpec(DP_POST), hyper, memo).policy
+        cdp = train(const, MitigationSpec(CDP_POST, conditioning="s"), hyper, memo).policy
         for g in (0, 1):
             assert cdp.threshold(g, 0) == glob.threshold(g)
 
     def test_within_stratum_parity_bound(self):
         ds = self.stratified_ds()
-        model = train(ds, MitigationSpec(FULL), TrainConfig(max_epochs=800))
-        policy = fit_cdp_threshold(ds, model, "s", min_count=10)
-        preds = predict(model, ds, policy)
+        model = train(ds, MitigationSpec(CDP_POST, conditioning="s"), TrainConfig(max_epochs=800))
+        preds = predict(model, ds)
         codes, _ = ds.column_codes("s")
         for st in (0, 1):
             m = codes == st
@@ -316,8 +311,9 @@ class TestCdpThreshold:
 
     def test_small_strata_fall_back_flagged(self):
         ds = self.stratified_ds(n=300)
-        model = train(ds, MitigationSpec(FULL), TrainConfig(max_epochs=400))
-        policy = fit_cdp_threshold(ds, model, "s", min_count=10**6)
+        scores = score(train(ds, MitigationSpec(FULL), TrainConfig(max_epochs=400)), ds)
+        glob = fit_dp_threshold_scores(scores, ds.sensitive.values, 2, ds.target)
+        policy = fit_cdp_threshold_scores(ds, scores, "s", glob, min_count=10**6)
         assert policy.fallback_cells
         assert any("min_count" in f for f in policy.flags)
         for g in (0, 1):
@@ -326,18 +322,16 @@ class TestCdpThreshold:
 
     def test_unknown_column(self):
         ds = self.stratified_ds()
-        model = train(ds, MitigationSpec(FULL), TrainConfig(max_epochs=10))
         with pytest.raises(KeyError):
-            fit_cdp_threshold(ds, model, "nope")
+            train(ds, MitigationSpec(CDP_POST, conditioning="nope"), TrainConfig(max_epochs=10))
 
     def test_overall_disparity_survives_stratum_parity(self):
         # the strata have opposite group mixes (one group never appears in
         # one stratum), so equal within-stratum acceptance still leaves the
         # overall acceptance rates far apart
         ds = generate(SynthConfig(n=6000, target="high", seed=23))
-        model = train(ds, MitigationSpec(FULL), TrainConfig(max_epochs=1500))
-        policy = fit_cdp_threshold(ds, model, "X3")
-        preds = predict(model, ds, policy)
+        model = train(ds, MitigationSpec(CDP_POST, conditioning="X3"), TrainConfig(max_epochs=1500))
+        preds = predict(model, ds)
         codes, _ = ds.column_codes("X3")
         for st in (0, 1):
             m = codes == st
@@ -354,12 +348,11 @@ class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         ds = generate(SynthConfig(n=800, target="low", seed=13))
         model = train(ds, MitigationSpec(DP_POST), TrainConfig(max_epochs=400))
-        policy = fit_dp_threshold(ds, model)
         path = tmp_path / "model.json"
-        save_model(model, path, policy)
-        loaded, loaded_policy = load_model(path)
-        p1 = predict(model, ds, policy)
-        p2 = predict(loaded, ds, loaded_policy)
+        save_model(model, path)
+        loaded = load_model(path)
+        p1 = predict(model, ds)
+        p2 = predict(loaded, ds)
         assert np.array_equal(p1.decisions, p2.decisions)
         assert np.allclose(p1.scores, p2.scores)
         assert loaded.spec.strategy == DP_POST
@@ -367,10 +360,10 @@ class TestPersistence:
     def test_cdp_policy_round_trip(self, tmp_path):
         ds = generate(SynthConfig(n=1500, target="high", seed=15))
         model = train(ds, MitigationSpec(CDP_POST, conditioning="X3"), TrainConfig(max_epochs=300))
-        policy = fit_cdp_threshold(ds, model, "X3")
+        policy = model.policy
         path = tmp_path / "model.json"
-        save_model(model, path, policy)
-        _, loaded = load_model(path)
+        save_model(model, path)
+        loaded = load_model(path).policy
         assert loaded.cells == policy.cells
         assert loaded.stratum_column == "X3"
         assert loaded.fallback_cells == policy.fallback_cells
@@ -394,30 +387,27 @@ class TestPersistence:
         # of the same rows) can code the same labels differently
         ds = generate(SynthConfig(n=1500, target="high", seed=15))
         model = train(ds, MitigationSpec(CDP_POST, conditioning="X3"))
-        policy = fit_cdp_threshold(ds, model, "X3")
         path = tmp_path / "model.json"
-        save_model(model, path, policy)
-        loaded, loaded_policy = load_model(path)
+        save_model(model, path)
         other = self.relabelled(ds)
-        want = predict(model, ds, policy)
-        for m, p in ((model, policy), (loaded, loaded_policy)):
-            got = predict(m, other, p)
+        want = predict(model, ds)
+        for m in (model, load_model(path)):
+            got = predict(m, other)
             assert np.array_equal(got.scores, want.scores)
             assert np.array_equal(got.decisions, want.decisions)
-        assert fit_cdp_threshold(other, model, "X3").cells == policy.cells
 
     def test_model_without_label_tables_reads_codes(self, tmp_path):
         ds = generate(SynthConfig(n=800, target="high", seed=16))
         model = train(ds, MitigationSpec(DP_POST))
         path = tmp_path / "model.json"
-        save_model(model, path, fit_dp_threshold(ds, model))
+        save_model(model, path)
         doc = json.loads(path.read_text())
         for key in ("labels", "sensitive_labels"):
             del doc["encoder"][key]
         path.write_text(json.dumps(doc))
-        old, policy = load_model(path)
+        old = load_model(path)
         assert old.encoder.labels is None
-        save_model(old, path, policy)  # and saved again without them
+        save_model(old, path)  # and saved again without them
         assert json.loads(path.read_text())["encoder"] == doc["encoder"]
         other = self.relabelled(ds)
         # the same codes under the training labels: a model without label
@@ -427,8 +417,8 @@ class TestPersistence:
             features=tuple(replace(c, labels=d.labels) for c, d in zip(other.features, ds.features)),
             sensitive=replace(other.sensitive, group_labels=ds.sensitive.group_labels),
         )
-        got = predict(old, other, policy).scores
-        assert np.array_equal(got, predict(old, codes_only, policy).scores)
+        got = predict(old, other).scores
+        assert np.array_equal(got, predict(old, codes_only).scores)
         assert not np.array_equal(got, predict(model, other).scores)
 
     def test_save_load_suppression_report(self, tmp_path):
@@ -436,8 +426,8 @@ class TestPersistence:
         model = train(ds, MitigationSpec(SUPPRESSION, threshold=0.05))
         path = tmp_path / "model.json"
         save_model(model, path)
-        loaded, policy = load_model(path)
-        assert policy is None
+        loaded = load_model(path)
+        assert loaded.policy is None
         assert {n for n, _ in loaded.suppression.dropped} == {"X1", "X3"}
 
 
@@ -560,14 +550,14 @@ class TestNewtonAgainstBruteForce:
         assert model.converged and model.epochs < 30
         path = tmp_path / "model.json"
         save_model(model, path)
-        assert load_model(path)[0].converged
+        assert load_model(path).converged
         doc = json.loads(path.read_text())
         del doc["converged"]
         path.write_text(json.dumps(doc))
-        assert load_model(path)[0].converged
+        assert load_model(path).converged
         doc["final_grad_norm"] = 1e-3
         path.write_text(json.dumps(doc))
-        assert not load_model(path)[0].converged
+        assert not load_model(path).converged
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +750,7 @@ class TestRowMemo:
     def test_shared_work_changes_no_bits(self, case):
         ds, strategy = case
         memo = modeling.RowMemo(ds)
-        specs = [MitigationSpec(strategy), MitigationSpec(FULL)]
+        specs = [MitigationSpec(strategy), MitigationSpec(FULL), MitigationSpec(DP_POST)]
         if ds.features:
             specs.append(MitigationSpec(SUPPRESSION, threshold=1.0))
         for spec in specs:
@@ -769,24 +759,13 @@ class TestRowMemo:
             assert _bits(shared.intercept) == _bits(own.intercept)
             assert shared.suppression == own.suppression
             assert shared.encoder.to_json_dict() == own.encoder.to_json_dict()
-            assert np.array_equal(_bits(score(shared, ds, memo)), _bits(predict(own, ds).scores))
-
-    def test_recoded_rows_build_their_own_blocks(self):
-        # the memo's X3 block holds the other file's codes: scoring a model
-        # that recodes those rows must not take it
-        ds = generate(SynthConfig(n=600, target="high", seed=21))
-        other = TestPersistence.relabelled(ds)
-        memo = modeling.RowMemo(other)
-        train(other, MitigationSpec(FULL), memo=memo)
-        model = train(ds, MitigationSpec(FULL))
-        assert np.array_equal(score(model, other, memo), predict(model, ds).scores)
+            assert shared.policy == own.policy
+            assert np.array_equal(_bits(score(shared, ds)), _bits(predict(own, ds).scores))
 
     def test_memo_of_other_rows_rejected(self):
         ds, other = simple_ds(seed=1), simple_ds(seed=2)
         with pytest.raises(ValueError, match="other rows"):
             train(ds, MitigationSpec(FULL), memo=modeling.RowMemo(other))
-        with pytest.raises(ValueError, match="other rows"):
-            score(train(ds, MitigationSpec(FULL)), ds, modeling.RowMemo(other))
 
 
 # ---------------------------------------------------------------------------
@@ -968,21 +947,29 @@ class TestScansBitIdentical:
     @given(_scan_cases())
     def test_cdp_scan(self, c):
         ds, model = _scan_dataset(c)
-        kw = {"grid_size": c["grid_size"], "min_count": c["min_count"]}
+        scores = predict(model, ds).scores
+
+        def new_fit():
+            grid, groups = c["grid_size"], ds.sensitive
+            glob = fit_dp_threshold_scores(scores, groups.values, groups.n_groups, c["y"], grid)
+            return fit_cdp_threshold_scores(ds, scores, "s", glob, grid, c["min_count"])
+
         try:
-            old = _old_fit_cdp_threshold(ds, model, "s", **kw)
+            old = _old_fit_cdp_threshold(
+                ds, model, "s", grid_size=c["grid_size"], min_count=c["min_count"]
+            )
         except ValueError as exc:  # a group with no rows at all has no cell
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                fit_cdp_threshold(ds, model, "s", **kw)
+                new_fit()
             return
-        new = fit_cdp_threshold(ds, model, "s", **kw)
+        new = new_fit()
         _same_policy(new, old)
-        scores = predict(model, ds).scores
         strata = ds.column_codes("s")[0]
         new_dec = apply_threshold(PredictionSet(scores=scores), new, ds.sensitive, strata)
         old_dec = _old_apply_threshold(PredictionSet(scores=scores), old, ds.sensitive, strata)
         assert np.array_equal(new_dec.decisions, old_dec.decisions)
-        assert np.array_equal(predict(model, ds, new).decisions, new_dec.decisions)
+        with_policy = replace(model, policy=new)
+        assert np.array_equal(predict(with_policy, ds).decisions, new_dec.decisions)
 
     def test_missing_cell_error_names_the_first_row_cell(self):
         policy = ThresholdPolicy({(0, None): 0.5})
@@ -993,3 +980,77 @@ class TestScansBitIdentical:
             with pytest.raises(ValueError) as old_err:
                 _old_apply_threshold(preds, policy, np.array(groups))
             assert str(new_err.value) == str(old_err.value)
+
+
+# ---------------------------------------------------------------------------
+# Policies that train fits against the separate policy fit they replaced
+# ---------------------------------------------------------------------------
+# Verbatim copies of the separate fit (renamed, docstrings dropped), which
+# scored the training rows a second time after train.
+
+
+def _separate_fit_scores(ds, model):
+    if ds.target is None:
+        raise ValueError("threshold fitting needs the ground-truth target")
+    return score(model, ds)
+
+
+def _separate_fit_dp_threshold(ds, model, grid_size=100):
+    ds = _in_training_codes(ds, model.encoder)
+    return fit_dp_threshold_scores(
+        _separate_fit_scores(ds, model), ds.sensitive.values, ds.sensitive.n_groups,
+        ds.target, grid_size,
+    )
+
+
+def _separate_fit_cdp_threshold(ds, model, conditioning, grid_size=100, min_count=30):
+    ds = _in_training_codes(ds, model.encoder)
+    ds.column_codes(conditioning)  # an unknown or continuous column raises first
+    scores = _separate_fit_scores(ds, model)
+    glob = fit_dp_threshold_scores(
+        scores, ds.sensitive.values, ds.sensitive.n_groups, ds.target, grid_size
+    )
+    return fit_cdp_threshold_scores(ds, scores, conditioning, glob, grid_size, min_count)
+
+
+def _separate_fit_policy(ds, model):
+    if model.spec.strategy == DP_POST:
+        return _separate_fit_dp_threshold(ds, model)
+    if model.spec.strategy == CDP_POST:
+        return _separate_fit_cdp_threshold(ds, model, model.spec.conditioning)
+    return None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestTrainFitsThePolicy:
+    @staticmethod
+    def same_as_separate_fit(ds, specs):
+        # the specs share one memo, as the experiment's approaches do, so
+        # the later ones take the fit and global scan the first one made
+        memo, full = modeling.RowMemo(ds), train(ds, MitigationSpec(FULL))
+        for spec in specs:
+            try:
+                want = _separate_fit_policy(ds, replace(full, spec=spec))
+            except ValueError as exc:  # a group with no rows at all has no cell
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    train(ds, spec, memo=memo)
+                continue
+            _same_policy(train(ds, spec, memo=memo).policy, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_designs())
+    def test_designs(self, case):
+        ds, _ = case
+        cdp = [
+            MitigationSpec(CDP_POST, conditioning=c.name)
+            for c in ds.features if c.kind == CATEGORICAL
+        ]
+        self.same_as_separate_fit(ds, [MitigationSpec(DP_POST), *cdp])
+
+    @settings(max_examples=100, deadline=None)
+    @given(_scan_cases())
+    def test_scan_cases(self, c):
+        assume(len(c["y"]))  # training needs rows
+        ds, _ = _scan_dataset(c)
+        specs = [MitigationSpec(CDP_POST, conditioning="s"), MitigationSpec(DP_POST)]
+        self.same_as_separate_fit(ds, specs)

@@ -13,11 +13,11 @@ from fairaudit.individual_metrics import _flipped, flip_assessment
 from fairaudit.info_theory import symmetric_uncertainty_codes
 from fairaudit.modeling import (
     CDP_POST,
+    DP_POST,
     FTU,
     FULL,
     SUPPRESSION,
     MitigationSpec,
-    fit_policy,
     predict,
     score,
     train,
@@ -167,52 +167,52 @@ class TestRunExperiment:
 
 class TestOneFitPerModel:
     def test_train_runs_once_per_distinct_model(self, monkeypatch):
-        # per dataset: FTU, Supp_l, Supp_h, and one model shared by CDP and DP
-        calls = []
+        # per dataset: FTU, Supp_l, Supp_h, and one fit shared by CDP and DP
+        fits = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[1].strategy)
-            return train(*args, **kwargs)
+        def counted(x, y, hyper):
+            fits.append(x.shape[1])
+            return newton(x, y, hyper)
 
-        monkeypatch.setattr(se, "train", counted)
+        newton = modeling._newton
+        monkeypatch.setattr(modeling, "_newton", counted)
         run_experiment(seed=3, n=1500)
-        assert calls == [FTU, SUPPRESSION, SUPPRESSION, CDP_POST] * 2
+        # design columns: X1, X2 and X3's two levels; X2; X2 and X3; and all
+        # four with the attribute's two levels
+        assert fits == [4, 1, 3, 6] * 2
 
     def test_shared_model_equals_its_own_fit(self, monkeypatch):
-        # DP and CDP fit their policies on the train scores of the model
-        # they share: those must be the scores of each one's own fit
-        fitted = []
+        # DP and CDP share one fit and one global scan: the models, with
+        # their policies, must be those of each one's own fit
+        trained = []
 
-        def recorded(fit):
-            def fit_and_record(*args):
-                fitted.append((fit.__name__, args))
-                return fit(*args)
-            return fit_and_record
+        def recorded(*args, **kwargs):
+            trained.append(train(*args, **kwargs))
+            return trained[-1]
 
-        for name in ("fit_dp_threshold_scores", "fit_cdp_threshold_scores"):
-            monkeypatch.setattr(se, name, recorded(getattr(se, name)))
+        monkeypatch.setattr(se, "train", recorded)
         report = run_experiment(seed=3, n=1500)
-        assert [name for name, _ in fitted] == [
-            "fit_dp_threshold_scores", "fit_cdp_threshold_scores"
+        assert [m.spec.strategy for m in trained] == [
+            FTU, SUPPRESSION, SUPPRESSION, CDP_POST, DP_POST
         ] * 2
         datasets = synthetic_datasets(3, 1500, report.noise_interpretation)
-        for (name, ds, conditioning), (_, dp), (_, cdp) in zip(
-            datasets, fitted[0::2], fitted[1::2]
-        ):
+        for k, (name, ds, conditioning) in enumerate(datasets):
             train_ds, _ = split(ds, fraction=0.7, seed=derive_seed(3, f"split:{name}"))
-            own_dp, own_cdp = (
-                train(train_ds, approach_spec(a, conditioning)) for a in ("DP", "CDP")
+            shared_cdp, shared_dp = trained[5 * k + 3 : 5 * k + 5]
+            own_cdp, own_dp = (
+                train(train_ds, approach_spec(a, conditioning)) for a in ("CDP", "DP")
             )
-            assert np.array_equal(own_dp.weights, own_cdp.weights)
-            assert own_dp.intercept == own_cdp.intercept
-            assert (own_dp.epochs, own_dp.final_grad_norm, own_dp.converged) == (
-                own_cdp.epochs, own_cdp.final_grad_norm, own_cdp.converged
-            )
-            assert own_dp.encoder.to_json_dict() == own_cdp.encoder.to_json_dict()
-            own_scores = predict(own_dp, train_ds).scores
-            assert np.array_equal(dp[0], own_scores)
-            assert np.array_equal(cdp[0].target, train_ds.target)
-            assert np.array_equal(cdp[1], own_scores)
+            for shared, own in ((shared_cdp, own_cdp), (shared_dp, own_dp)):
+                assert np.array_equal(shared.weights, own.weights)
+                assert shared.intercept == own.intercept
+                assert (shared.epochs, shared.final_grad_norm, shared.converged) == (
+                    own.epochs, own.final_grad_norm, own.converged
+                )
+                assert shared.encoder.to_json_dict() == own.encoder.to_json_dict()
+                assert shared.policy == own.policy
+            assert shared_cdp.policy.stratum_column == conditioning
+            assert shared_cdp.policy.target_rate == shared_dp.policy.target_rate
+            assert shared_dp.policy.stratum_column is None
 
     @pytest.mark.parametrize("noise", ["std", "variance"])
     def test_flip_shortcut_equals_flip_assessment(self, noise):
@@ -221,11 +221,10 @@ class TestOneFitPerModel:
             specs = [approach_spec(a, conditioning) for a in APPROACHES]
             for spec in specs + [MitigationSpec(FULL)]:  # FULL reads A without a policy
                 model = train(train_ds, spec)
-                policy = fit_policy(train_ds, model)
                 assert _flip_report(
-                    model, policy, test_ds, predict(model, test_ds, policy).decisions,
+                    model, test_ds, predict(model, test_ds).decisions,
                     lambda: score(model, _flipped(test_ds)),
-                ) == flip_assessment(test_ds, lambda d: predict(model, d, policy))
+                ) == flip_assessment(test_ds, lambda d: predict(model, d))
 
     def test_multi_group_attribute_is_still_refused(self):
         ds = generate(SynthConfig(n=600, seed=4))
@@ -235,7 +234,7 @@ class TestOneFitPerModel:
         )
         model = train(three, approach_spec("FTU"))
         with pytest.raises(ValueError, match="non-binary"):
-            _flip_report(model, None, three, predict(model, three).decisions, None)
+            _flip_report(model, three, predict(model, three).decisions, None)
 
 
 class TestEachPieceOnce:
@@ -248,9 +247,8 @@ class TestEachPieceOnce:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(se, "score", counted(scored, se.score, lambda m, ds, *_: (m, ds)))
+        monkeypatch.setattr(se, "score", counted(scored, se.score, lambda m, ds: (m, ds)))
         scan = counted(scans, modeling.fit_dp_threshold_scores, lambda scores, *_: len(scores))
-        monkeypatch.setattr(se, "fit_dp_threshold_scores", scan)
         monkeypatch.setattr(modeling, "fit_dp_threshold_scores", scan)
         monkeypatch.setattr(
             modeling, "_feature_corr",
@@ -258,27 +256,24 @@ class TestEachPieceOnce:
         )
         report = run_experiment(seed=3, n=1500)
 
-        def rows(ds, train_ds, test_ds):
+        def rows(ds, test_ds):
             groups = ds.sensitive.values
-            if ds.n == train_ds.n and np.array_equal(groups, train_ds.sensitive.values):
-                return "train"
             if np.array_equal(groups, test_ds.sensitive.values):
                 return "test"
             assert np.array_equal(groups, 1 - test_ds.sensitive.values)
             return "flipped"
 
         datasets = synthetic_datasets(3, 1500, report.noise_interpretation)
-        assert len(scored) == 6 * len(datasets)
+        assert len(scored) == 5 * len(datasets)
         for k, (name, ds, _) in enumerate(datasets):
             train_ds, test_ds = split(ds, fraction=0.7, seed=derive_seed(3, f"split:{name}"))
-            got = [
-                (m.spec.strategy, rows(d, train_ds, test_ds)) for m, d in scored[6 * k : 6 * k + 6]
-            ]
-            # FTU and both suppressions on the test rows; the model that CDP
-            # and DP share on the train, test and flipped test rows
+            got = [(m.spec.strategy, rows(d, test_ds)) for m, d in scored[5 * k : 5 * k + 5]]
+            # FTU and both suppressions on the test rows; the fit that CDP
+            # and DP share on the test and flipped test rows (its train-row
+            # scores come from the fit itself)
             assert got == [
                 (FTU, "test"), (SUPPRESSION, "test"), (SUPPRESSION, "test"),
-                (CDP_POST, "train"), (CDP_POST, "test"), (CDP_POST, "flipped"),
+                (CDP_POST, "test"), (CDP_POST, "flipped"),
             ]
             # one global DP scan, then one per X3 stratum
             strata = np.bincount(train_ds.feature("X3").values)
