@@ -14,7 +14,9 @@ skipped with the reason and exits 2. The ``FAIRAUDIT_SEED`` and
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import os
@@ -192,12 +194,23 @@ def _flatten_csv(doc, prefix=""):
     return rows
 
 
+def _csv_line(fields):
+    """One CSV record of ``str(field)`` values, ending in ``\\n``.
+
+    The writer ends records in ``\\r\\n`` so that it quotes a field that
+    holds either character (before Python 3.13 it quotes only its
+    terminator's); the ``\\r`` is then dropped from the end.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow([str(f) for f in fields])
+    return buf.getvalue()[:-2] + "\n"
+
+
 def _emit(doc, args):
     # strict JSON refuses nan/inf anywhere in the report, for either format
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.format == "csv":
-        lines = ["key,value"] + [f"{k},{v}" for k, v in _flatten_csv(doc)]
-        text = "\n".join(lines) + "\n"
+        text = "".join(_csv_line(row) for row in [("key", "value"), *_flatten_csv(doc)])
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:

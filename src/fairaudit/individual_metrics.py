@@ -6,7 +6,8 @@ pluggable. The default is Euclidean distance on z-score-standardised
 features (categoricals one-hot encoded first), which at least removes
 arbitrary units; raw Euclidean and user-weighted variants are available.
 
-The pairwise scans run on every CPU the process may use: the kNN search
+The pairwise scans run on every CPU the process may use
+(:data:`~fairaudit.threads.WORKERS`): the kNN search
 of :func:`consistency` through the KD-tree's own ``workers``, and the row
 sums of :func:`similarity_weighted_disparity` in threads over contiguous
 chunks of rows, since cdist, exp and the sums release the GIL. Each row's
@@ -17,15 +18,13 @@ chunk, so both metrics give the same bits for any worker count.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from . import group_metrics, modeling
+from . import group_metrics, modeling, threads
 from .data import CATEGORICAL, Dataset, PredictionSet, SensitiveAttribute, cell_rows
 
 EUCLIDEAN_STANDARDIZED = "euclidean_standardized"
@@ -92,18 +91,6 @@ def encode_for_distance(ds, spec, include_sensitive=False):
 # holds at once; bounds the memory of the kNN search and of the disparity
 # independently of n. Threads that scan at the same time share it.
 _PAIR_BLOCK = 1 << 21
-
-
-def _usable_cpus():
-    if hasattr(os, "process_cpu_count"):  # Python 3.13+
-        return os.process_cpu_count() or 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# Threads for the pairwise scans: the CPUs this process may run on.
-_WORKERS = _usable_cpus()
 
 
 def _lex_order(x):
@@ -185,7 +172,7 @@ def _knn_means(x, dec, k):
             if width == m:
                 settle(rows, np.broadcast_to(np.arange(m), (len(rows), m)), cdist(uniq[rows], uniq))
                 continue
-            t, cand = tree.query(uniq[rows], k=width, workers=_WORKERS)
+            t, cand = tree.query(uniq[rows], k=width, workers=threads.WORKERS)
             if width == k + 2:  # first pass, over every distinct row
                 radius[rows] = t[:, k] * (1 + 1e-9) + 1e-12
             short = t[:, -1] <= radius[rows]
@@ -245,17 +232,16 @@ def _exp_neg_row_sums(left, right):
     if right.shape[1]:  # without columns every row is the same empty row
         right = right[_lex_order(right)]
     row_size = max(right.size, 1)
-    threads = max(1, min(_WORKERS, _PAIR_BLOCK // row_size))
-    step = max(1, _PAIR_BLOCK // threads // row_size)
-    chunks = min(threads, len(left) // step)
+    workers = max(1, min(threads.WORKERS, _PAIR_BLOCK // row_size))
+    step = max(1, _PAIR_BLOCK // workers // row_size)
+    chunks = min(workers, len(left) // step)
     if chunks < 2:
         return _block_row_sums(left, right, max(1, _PAIR_BLOCK // row_size))
     bounds = np.linspace(0, len(left), chunks + 1).astype(int)
-    with ThreadPoolExecutor(chunks) as pool:
-        parts = pool.map(
-            lambda lo, hi: _block_row_sums(left[lo:hi], right, step), bounds[:-1], bounds[1:]
-        )
-        return [s for part in parts for s in part]
+    parts = threads.ordered_map(
+        lambda b: _block_row_sums(left[b[0] : b[1]], right, step), zip(bounds[:-1], bounds[1:])
+    )
+    return [s for part in parts for s in part]
 
 
 def _block_row_sums(left, right, step):

@@ -18,6 +18,16 @@ decides whether a Newton step is accepted, against a slack of 1e-13 of
 the loss, and the fitted models are the same bits as with
 ``np.logaddexp`` on every design tested.
 
+The mitigation experiment runs its fits and scores with OpenBLAS on one
+thread (:func:`~fairaudit.threads.one_blas_thread` around
+:func:`~fairaudit.synth_experiment.run_experiment`), and its datasets on
+worker threads that use the CPUs the process may run on; ``train`` and
+``score`` called outside it leave the BLAS thread count as it is. The
+one-thread rule is measured on the synthetic designs only, not on a wide
+one-hot design such as ``experiment --adult``'s. The products are the
+same bits on any number of BLAS threads, and no fit shares state with
+another dataset's, so no output depends on either.
+
 Mitigation strategies (``STRATEGIES`` maps each ``train --strategy``
 spelling to one of them):
 
@@ -34,7 +44,6 @@ spelling to one of them):
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import asdict, dataclass, replace
 
@@ -344,19 +353,27 @@ class _Fit:
         self.logits = x @ self.weights + self.intercept
         separated = bool(np.all(np.where(y == 1, self.logits, -self.logits) > 0))
         self.converged = self.final_grad_norm <= hyper.tol and not separated
+        # memoised by hand: before Python 3.12 a cached_property holds one
+        # lock for all instances, which would serialise the fits of
+        # datasets on worker threads
+        self._scores = self._dp_policy = None
 
-    @functools.cached_property
+    @property
     def scores(self):
         """The fitted model's scores on the rows: those :func:`score` gives."""
-        return _sigmoid(self.logits)
+        if self._scores is None:
+            self._scores = _sigmoid(self.logits)
+        return self._scores
 
-    @functools.cached_property
+    @property
     def dp_policy(self):
         """:func:`fit_dp_threshold_scores` of the scores on the rows."""
-        ds = self.ds
-        return fit_dp_threshold_scores(
-            self.scores, ds.sensitive.values, ds.sensitive.n_groups, ds.target
-        )
+        if self._dp_policy is None:
+            ds = self.ds
+            self._dp_policy = fit_dp_threshold_scores(
+                self.scores, ds.sensitive.values, ds.sensitive.n_groups, ds.target
+            )
+        return self._dp_policy
 
 
 @dataclass(frozen=True)

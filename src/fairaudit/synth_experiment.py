@@ -17,16 +17,25 @@ The experiment harness trains five mitigation approaches per dataset
 them on a held-out split, and reports dependence U(decisions; group),
 ROC AUC, flip consistency and the demographic-parity ratio, all as
 percentages.
+
+The experiment uses the CPUs the process may run on: its datasets run on
+worker threads, one dataset per thread
+(:func:`~fairaudit.threads.ordered_map`), and OpenBLAS runs on one thread
+throughout, so that it does not spin on the core the workers use
+(:func:`~fairaudit.threads.one_blas_thread`). Nothing is shared between
+datasets, and a product's bits do not depend on the BLAS thread count, so
+the outputs depend on neither.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from . import causal
 from .causal import Assignment, Dag, NoiseSpec, Scm
-from .data import PredictionSet, split
+from .data import Dataset, PredictionSet, split
 from .group_metrics import _auc_scores, demographic_parity
 from .individual_metrics import FlipReport, _flipped, flip_assessment
 from .info_theory import symmetric_uncertainty_codes
@@ -42,6 +51,7 @@ from .modeling import (
     train,
 )
 from .seeding import derive_seed
+from .threads import one_blas_thread, ordered_map
 
 STD = "std"
 VARIANCE = "variance"
@@ -359,15 +369,15 @@ def evaluate_approach(name, memo, shared, conditioning, synthetic):
     flip = _flip_report(
         model, test_ds, preds.decisions, lambda: shared.scores(model, "flipped")
     )
-    # the ratio reads decisions only: no score means or group AUCs
-    dp = demographic_parity(test_ds, PredictionSet(preds.decisions))
-    ratio = 0.0 if dp.ratio is None else dp.ratio
+    # the ratio reads the group counts and acceptances only: without a
+    # target the group stats skip the base rates and confusion cells
+    dp = demographic_parity(Dataset((), test_ds.sensitive), PredictionSet(preds.decisions))
     return ApproachMetrics(
         u_pred_attr=u,
         auc=100.0 * auc,
         flip_consistency=100.0 * flip.flip_consistency,
         flip_rate=100.0 * flip.flip_rate,
-        dp_ratio=100.0 * ratio,
+        dp_ratio=100.0 * (0.0 if dp.ratio is None else dp.ratio),
         auc_basis=basis,
     )
 
@@ -379,6 +389,23 @@ def synthetic_datasets(seed, n, noise_interpretation):
         cfg = SynthConfig(n, target, noise_interpretation, derive_seed(seed, f"generate:{target}"))
         out.append((label, generate(cfg), "X3"))
     return out
+
+
+def _dataset_block(item, seed, split_fraction):
+    """The :class:`DatasetBlock` of one ``(name, Dataset, cdp_conditioning)``
+    item of :func:`run_experiment`: split, train and evaluate every approach."""
+    name, ds, conditioning = item
+    synthetic = name.startswith("synthetic")
+    train_ds, test_ds = split(ds, fraction=split_fraction, seed=derive_seed(seed, f"split:{name}"))
+    if len(set(test_ds.target.tolist())) < 2:
+        raise ValueError(f"{name}: the test split holds one class, so ROC AUC is undefined")
+    cells, memo, shared = {}, RowMemo(train_ds), _SharedWork(test_ds)
+    for approach in APPROACHES:
+        try:
+            cells[approach] = evaluate_approach(approach, memo, shared, conditioning, synthetic)
+        except ValueError as exc:
+            cells[approach] = FailedApproach(str(exc))
+    return DatasetBlock(name, _u_target_attr(ds), cells)
 
 
 def run_experiment(
@@ -400,7 +427,11 @@ def run_experiment(
     approach that raises ``ValueError`` (e.g. it drops every feature) is
     reported as a :class:`FailedApproach` and the rest of the table is
     still computed; a test split that holds one class, where no approach
-    has an AUC, raises.
+    has an AUC, raises (the first such dataset in order names itself).
+
+    The datasets run on worker threads, one dataset per item, with
+    OpenBLAS on one thread throughout; the report is the same bits for any
+    number of workers.
     """
     calibration = None
     notes = [
@@ -410,32 +441,19 @@ def run_experiment(
         "never change when the sensitive attribute is flipped.",
         "Metrics are computed on a held-out split.",
     ]
-    if datasets is None:
-        if noise_interpretation is None:
-            calibration = calibrate_noise_interpretation(derive_seed(seed, "calibration"))
-            noise_interpretation = calibration.chosen
-        else:
-            notes.append(f"noise interpretation forced to {noise_interpretation!r}")
-        datasets = synthetic_datasets(seed, n, noise_interpretation)
-    elif noise_interpretation is None:
-        noise_interpretation = DEFAULT_NOISE_INTERPRETATION
-    blocks = []
-    for name, ds, conditioning in datasets:
-        synthetic = name.startswith("synthetic")
-        train_ds, test_ds = split(
-            ds, fraction=split_fraction, seed=derive_seed(seed, f"split:{name}")
+    with one_blas_thread():
+        if datasets is None:
+            if noise_interpretation is None:
+                calibration = calibrate_noise_interpretation(derive_seed(seed, "calibration"))
+                noise_interpretation = calibration.chosen
+            else:
+                notes.append(f"noise interpretation forced to {noise_interpretation!r}")
+            datasets = synthetic_datasets(seed, n, noise_interpretation)
+        elif noise_interpretation is None:
+            noise_interpretation = DEFAULT_NOISE_INTERPRETATION
+        blocks = ordered_map(
+            functools.partial(_dataset_block, seed=seed, split_fraction=split_fraction), datasets
         )
-        if len(set(test_ds.target.tolist())) < 2:
-            raise ValueError(f"{name}: the test split holds one class, so ROC AUC is undefined")
-        cells, memo, shared = {}, RowMemo(train_ds), _SharedWork(test_ds)
-        for approach in APPROACHES:
-            try:
-                cells[approach] = evaluate_approach(
-                    approach, memo, shared, conditioning, synthetic
-                )
-            except ValueError as exc:
-                cells[approach] = FailedApproach(str(exc))
-        blocks.append(DatasetBlock(name, _u_target_attr(ds), cells))
     return ExperimentReport(
         tuple(blocks),
         seed,

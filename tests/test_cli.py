@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairaudit import group_metrics, incompatibility, individual_metrics, modeling
+from fairaudit import group_metrics, incompatibility, individual_metrics, modeling, threads
 from fairaudit.causal import save_scm
 from fairaudit.data import load_csv, load_predictions, load_schema
 from fairaudit.individual_metrics import flip_assessment
@@ -21,6 +23,8 @@ from fairaudit.cli import (
     EXIT_PARTIAL,
     EXIT_USAGE,
     METRICS,
+    _csv_line,
+    _flatten_csv,
     build_parser,
     main,
 )
@@ -868,6 +872,37 @@ class TestGlobalOptions:
         keys = {line.split(",", 1)[0] for line in lines[1:]}
         assert "metrics.demographic_parity.gap" in keys
 
+    def test_csv_format_quotes_labels(self, tmp_path):
+        # group labels with a comma, quotes and a line break: every record
+        # parses back to its key and value
+        labels = ("a,b", 'say "hi"', "two\nlines")
+        data, schema = tmp_path / "odd.csv", tmp_path / "odd.schema"
+        with open(data, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["g", "x", "pred"])
+            for i in range(30):
+                writer.writerow([labels[i % 3], i / 10, i % 2])
+        schema.write_text("sensitive = g\ncontinuous = x\n", encoding="utf-8")
+        common = ["audit", "--data", str(data), "--schema", str(schema),
+                  "--predictions", "yhat=pred", "--metrics", "dp"]
+        assert main([*common, "--output", str(tmp_path / "r.json")]) == EXIT_OK
+        assert main([*common, "--format", "csv", "--output", str(tmp_path / "r.csv")]) == EXIT_OK
+        doc = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+        with open(tmp_path / "r.csv", encoding="utf-8", newline="") as fh:
+            records = list(csv.reader(fh))
+        assert records[0] == ["key", "value"]
+        # the JSON report's keys are sorted; the CSV keeps the report's order
+        assert sorted(records[1:]) == sorted([k, str(v)] for k, v in _flatten_csv(doc))
+        assert {f"metrics.demographic_parity.groups.{lab}" for lab in labels} <= {
+            k for k, _ in records
+        }
+
+    def test_csv_lines_end_in_newline_and_quote_carriage_returns(self):
+        fields = ("cr\rhere", "crlf\r\nhere", "plain", None, 1.5)
+        line = _csv_line(fields)
+        assert line.endswith(",plain,None,1.5\n")
+        assert next(csv.reader(io.StringIO(line, newline=""))) == [str(f) for f in fields]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("to_file", [True, False])
     def test_non_finite_report_value_is_data_error(
@@ -939,6 +974,9 @@ PINNED_AUDIT = {
     "csv": "10eb8508cd8e2e94774ea497a4b7f47b5fdc8e1a5e815a82cc1a9834ca0df9ab",
     "decisions_only": "ed04773f199ff6ae867e17ef1dcbc90689aff2d18dece7a19bf4df83e398007e",
 }
+# sha256 of the --format csv report once fields that hold a comma are
+# quoted: "csv" above pins the same records with their fields unquoted
+PINNED_AUDIT_CSV_QUOTED = "12752158224e32ea343d6cf12894b374caadf92b8f07912fbf8f748e8c615fe0"
 
 
 def sha256(path):
@@ -978,8 +1016,18 @@ class TestPinnedAuditReports:
         assert sha256(files[0] / "r.json") == PINNED_AUDIT["json"]
 
     def test_all_metrics_csv(self, files):
+        # PINNED_AUDIT["csv"] hashes the records with their fields joined by
+        # bare commas. Stratum labels and list values hold commas, so the
+        # file quotes them: each record parses to two fields, and the fields
+        # joined again hash to the pin. The file's own bytes, quoting and
+        # line endings included, are pinned too.
         assert self.audit(files, files[1], "r.csv", "--format", "csv") == EXIT_OK
-        assert sha256(files[0] / "r.csv") == PINNED_AUDIT["csv"]
+        assert sha256(files[0] / "r.csv") == PINNED_AUDIT_CSV_QUOTED
+        with open(files[0] / "r.csv", encoding="utf-8", newline="") as fh:
+            records = list(csv.reader(fh))
+        assert {len(r) for r in records} == {2}
+        joined = "".join(",".join(r) + "\n" for r in records).encode()
+        assert hashlib.sha256(joined).hexdigest() == PINNED_AUDIT["csv"]
 
     def test_decisions_only_lists_skip_reasons(self, files):
         code = self.audit(files, files[4], "d.json", "--predictions", "yhat=pred")
@@ -1001,10 +1049,10 @@ class TestPinnedAuditReports:
 
     # The pairwise metrics split their rows over threads; a small block
     # makes even these 2000 rows start every thread.
-    @pytest.mark.parametrize("workers", sorted({1, 2, 3, 8, individual_metrics._usable_cpus()}))
+    @pytest.mark.parametrize("workers", sorted({1, 2, 3, 8, threads._usable_cpus()}))
     @pytest.mark.parametrize("block", [1 << 12, 1 << 21])
     def test_same_bytes_for_any_worker_count(self, files, monkeypatch, workers, block):
-        monkeypatch.setattr(individual_metrics, "_WORKERS", workers)
+        monkeypatch.setattr(threads, "WORKERS", workers)
         monkeypatch.setattr(individual_metrics, "_PAIR_BLOCK", block)
         out = f"w{workers}-b{block}.json"
         assert self.audit(files, files[1], out) == EXIT_OK

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from fairaudit import individual_metrics
+from fairaudit import individual_metrics, threads
 from fairaudit.data import (
     CATEGORICAL,
     CONTINUOUS,
@@ -393,7 +393,7 @@ class TestWorkerCount:
         want = (consistency(ds, preds, k, spec), similarity_weighted_disparity(ds, preds, spec))
         for workers in (1, 2, 3, 8):
             for block in (1 << 8, 1 << 21):
-                with patch.object(individual_metrics, "_WORKERS", workers), \
+                with patch.object(threads, "WORKERS", workers), \
                         patch.object(individual_metrics, "_PAIR_BLOCK", block):
                     got = (
                         consistency(ds, preds, k, spec),
@@ -415,7 +415,7 @@ class TestWorkerCount:
             return real(left, right, step)
 
         want = similarity_weighted_disparity(ds, preds)
-        with patch.object(individual_metrics, "_WORKERS", workers), \
+        with patch.object(threads, "WORKERS", workers), \
                 patch.object(individual_metrics, "_PAIR_BLOCK", 1 << 9), \
                 patch.object(individual_metrics, "_block_row_sums", spy):
             assert similarity_weighted_disparity(ds, preds) == want
@@ -432,8 +432,8 @@ class TestWorkerCount:
         ds, preds = one_d(rng.normal(size=200), rng.integers(0, 2, 200), rng.integers(0, 2, 200))
         want = similarity_weighted_disparity(ds, preds)
         for workers in (1, 8):  # 8: each chunk would hold less than one block
-            with patch.object(individual_metrics, "_WORKERS", workers), \
-                    patch.object(individual_metrics, "ThreadPoolExecutor", NoThreads):
+            with patch.object(threads, "WORKERS", workers), \
+                    patch.object(threads, "ThreadPoolExecutor", NoThreads):
                 assert similarity_weighted_disparity(ds, preds) == want
 
     def test_more_threads_than_cpus_with_fast_switching(self):
@@ -445,7 +445,7 @@ class TestWorkerCount:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with patch.object(individual_metrics, "_WORKERS", 16), \
+            with patch.object(threads, "WORKERS", 16), \
                     patch.object(individual_metrics, "_PAIR_BLOCK", 1 << 10):
                 for _ in range(5):
                     assert similarity_weighted_disparity(ds, preds) == want
@@ -462,16 +462,16 @@ class TestWorkerCount:
 
         rng = np.random.default_rng(6)
         ds, preds = one_d(rng.normal(size=100), rng.integers(0, 2, 100), rng.integers(0, 2, 100))
-        with patch.object(individual_metrics, "_WORKERS", 2), \
+        with patch.object(threads, "WORKERS", 2), \
                 patch.object(individual_metrics, "_PAIR_BLOCK", 1 << 6), \
                 patch.object(individual_metrics, "_block_row_sums", fails_off_main_thread):
             with pytest.raises(MemoryError, match="no room for the block"):
                 similarity_weighted_disparity(ds, preds)
 
     def test_worker_count_is_the_usable_cpus(self):
-        assert individual_metrics._WORKERS == individual_metrics._usable_cpus() >= 1
+        assert threads.WORKERS == threads._usable_cpus() >= 1
         if hasattr(os, "sched_getaffinity") and not hasattr(os, "process_cpu_count"):
-            assert individual_metrics._WORKERS == len(os.sched_getaffinity(0))
+            assert threads.WORKERS == len(os.sched_getaffinity(0))
 
 
 class TestFlipAssessment:

@@ -3,12 +3,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairaudit.synth_experiment as se
-from fairaudit import modeling
+from fairaudit import modeling, threads
 from fairaudit.causal import sample
 from fairaudit.cli import main
-from fairaudit.data import Dataset, SensitiveAttribute, split
+from fairaudit.data import (
+    CONTINUOUS,
+    Dataset,
+    FeatureColumn,
+    PredictionSet,
+    SensitiveAttribute,
+    split,
+)
+from fairaudit.group_metrics import demographic_parity
 from fairaudit.individual_metrics import _flipped, flip_assessment
 from fairaudit.info_theory import symmetric_uncertainty_codes
 from fairaudit.modeling import (
@@ -26,6 +36,7 @@ from fairaudit.seeding import derive_seed
 from fairaudit.synth_experiment import (
     APPROACHES,
     REFERENCE_U,
+    FailedApproach,
     SynthConfig,
     _flip_report,
     approach_spec,
@@ -165,40 +176,62 @@ class TestRunExperiment:
         )
 
 
+def of_rows(log, *targets):
+    """The entries of ``log``, ``(target, entry)`` pairs in call order, of
+    the calls that read rows with one of ``targets``.
+
+    The experiment runs its datasets on worker threads, so the calls of
+    different datasets interleave; a call is told apart by its rows.
+    """
+    return [entry for t, entry in log if any(np.array_equal(t, want) for want in targets)]
+
+
+def experiment_splits(seed, n, report):
+    """``(conditioning, train rows, test rows)`` of each dataset of
+    ``report``, the report of ``run_experiment(seed=seed, n=n)``."""
+    for name, ds, conditioning in synthetic_datasets(seed, n, report.noise_interpretation):
+        yield conditioning, *split(ds, fraction=0.7, seed=derive_seed(seed, f"split:{name}"))
+
+
 class TestOneFitPerModel:
     def test_train_runs_once_per_distinct_model(self, monkeypatch):
         # per dataset: FTU, Supp_l, Supp_h, and one fit shared by CDP and DP
         fits = []
 
         def counted(x, y, hyper):
-            fits.append(x.shape[1])
+            fits.append((y, x.shape[1]))
             return newton(x, y, hyper)
 
         newton = modeling._newton
         monkeypatch.setattr(modeling, "_newton", counted)
-        run_experiment(seed=3, n=1500)
-        # design columns: X1, X2 and X3's two levels; X2; X2 and X3; and all
-        # four with the attribute's two levels
-        assert fits == [4, 1, 3, 6] * 2
+        report = run_experiment(seed=3, n=1500)
+        splits = list(experiment_splits(3, 1500, report))
+        for _, train_ds, _ in splits:
+            # design columns: X1, X2 and X3's two levels; X2; X2 and X3;
+            # and all four with the attribute's two levels
+            assert of_rows(fits, train_ds.target) == [4, 1, 3, 6]
+        assert len(fits) == 4 * len(splits)
 
     def test_shared_model_equals_its_own_fit(self, monkeypatch):
         # DP and CDP share one fit and one global scan: the models, with
         # their policies, must be those of each one's own fit
         trained = []
 
-        def recorded(*args, **kwargs):
-            trained.append(train(*args, **kwargs))
-            return trained[-1]
+        def recorded(ds, *args, **kwargs):
+            model = train(ds, *args, **kwargs)
+            trained.append((ds.target, model))
+            return model
 
         monkeypatch.setattr(se, "train", recorded)
         report = run_experiment(seed=3, n=1500)
-        assert [m.spec.strategy for m in trained] == [
-            FTU, SUPPRESSION, SUPPRESSION, CDP_POST, DP_POST
-        ] * 2
-        datasets = synthetic_datasets(3, 1500, report.noise_interpretation)
-        for k, (name, ds, conditioning) in enumerate(datasets):
-            train_ds, _ = split(ds, fraction=0.7, seed=derive_seed(3, f"split:{name}"))
-            shared_cdp, shared_dp = trained[5 * k + 3 : 5 * k + 5]
+        splits = list(experiment_splits(3, 1500, report))
+        assert len(trained) == 5 * len(splits)
+        for conditioning, train_ds, _ in splits:
+            models = of_rows(trained, train_ds.target)
+            assert [m.spec.strategy for m in models] == [
+                FTU, SUPPRESSION, SUPPRESSION, CDP_POST, DP_POST
+            ]
+            shared_cdp, shared_dp = models[3:]
             own_cdp, own_dp = (
                 train(train_ds, approach_spec(a, conditioning)) for a in ("CDP", "DP")
             )
@@ -247,12 +280,18 @@ class TestEachPieceOnce:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(se, "score", counted(scored, se.score, lambda m, ds: (m, ds)))
-        scan = counted(scans, modeling.fit_dp_threshold_scores, lambda scores, *_: len(scores))
+        # each entry is (the target of the rows read, what is checked)
+        monkeypatch.setattr(
+            se, "score", counted(scored, se.score, lambda m, ds: (ds.target, (m, ds)))
+        )
+        scan = counted(
+            scans, modeling.fit_dp_threshold_scores,
+            lambda scores, groups, n_groups, target, *_: (target, len(scores)),
+        )
         monkeypatch.setattr(modeling, "fit_dp_threshold_scores", scan)
         monkeypatch.setattr(
             modeling, "_feature_corr",
-            counted(correlated, modeling._feature_corr, lambda ds, col: col.name),
+            counted(correlated, modeling._feature_corr, lambda ds, col: (ds.target, col.name)),
         )
         report = run_experiment(seed=3, n=1500)
 
@@ -263,11 +302,11 @@ class TestEachPieceOnce:
             assert np.array_equal(groups, 1 - test_ds.sensitive.values)
             return "flipped"
 
-        datasets = synthetic_datasets(3, 1500, report.noise_interpretation)
-        assert len(scored) == 5 * len(datasets)
-        for k, (name, ds, _) in enumerate(datasets):
-            train_ds, test_ds = split(ds, fraction=0.7, seed=derive_seed(3, f"split:{name}"))
-            got = [(m.spec.strategy, rows(d, test_ds)) for m, d in scored[5 * k : 5 * k + 5]]
+        splits = list(experiment_splits(3, 1500, report))
+        assert len(scored) == 5 * len(splits)
+        for _, train_ds, test_ds in splits:
+            # the flipped test rows have the test rows' target
+            got = [(m.spec.strategy, rows(d, test_ds)) for m, d in of_rows(scored, test_ds.target)]
             # FTU and both suppressions on the test rows; the fit that CDP
             # and DP share on the test and flipped test rows (its train-row
             # scores come from the fit itself)
@@ -276,10 +315,88 @@ class TestEachPieceOnce:
                 (CDP_POST, "test"), (CDP_POST, "flipped"),
             ]
             # one global DP scan, then one per X3 stratum
-            strata = np.bincount(train_ds.feature("X3").values)
-            assert scans[3 * k : 3 * k + 3] == [train_ds.n, *strata.tolist()]
-        assert len(scans) == 3 * len(datasets)
-        assert correlated == ["X1", "X2", "X3"] * len(datasets)
+            x3 = train_ds.feature("X3").values
+            stratum_targets = [train_ds.target[x3 == s] for s in np.unique(x3)]
+            strata = np.bincount(x3)
+            assert of_rows(scans, train_ds.target, *stratum_targets) == [
+                train_ds.n, *strata.tolist()
+            ]
+            assert of_rows(correlated, train_ds.target) == ["X1", "X2", "X3"]
+        assert len(scans) == 3 * len(splits)
+        assert len(correlated) == 3 * len(splits)
+
+
+@pytest.mark.filterwarnings("ignore:dataset has 0 rows")
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda g: st.tuples(
+            st.just(g),
+            st.lists(
+                st.tuples(st.integers(0, g - 1), st.integers(0, 1), st.integers(0, 1)),
+                max_size=40,
+            ),
+        )
+    )
+)
+def test_target_less_dp_ratio_is_the_full_one(case):
+    # the experiment takes the DP ratio from a dataset without a target or
+    # features; groups without rows, groups where none is accepted, no rows
+    n_groups, rows = case
+    groups = np.array([g for g, _, _ in rows], dtype=int)
+    decisions = np.array([d for _, d, _ in rows], dtype=int)
+    sensitive = SensitiveAttribute("A", groups, tuple(f"g{k}" for k in range(n_groups)))
+    full = Dataset(
+        (FeatureColumn("x", CONTINUOUS, np.zeros(len(rows))),),
+        sensitive,
+        np.array([y for _, _, y in rows], dtype=int),
+    )
+    want = demographic_parity(full, PredictionSet(decisions))
+    got = demographic_parity(Dataset((), sensitive), PredictionSet(decisions))
+    assert got.ratio == want.ratio
+    assert got.groups == want.groups
+
+
+def three_datasets(seed):
+    """The two synthetic datasets and a third whose CDP approach fails: its
+    conditioning column is continuous."""
+    (_, high, _), (_, low, _) = synthetic_datasets(seed, 1500, "std")
+    return [("synthetic#1", high, "X3"), ("other", low, "X1"), ("synthetic#2", low, "X3")]
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("seed", [3, 8, 21])
+    def test_same_bytes_for_any_worker_count(self, monkeypatch, seed):
+        def files(datasets=None):
+            rep = run_experiment(datasets, seed=seed, n=1500)
+            return rep.to_csv(), json.dumps(rep.to_json_dict(), indent=2, sort_keys=True)
+
+        got = {}
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(threads, "WORKERS", workers)
+            got[workers] = (files(), files(three_datasets(seed)))
+        assert all(v == got[1] for v in got.values())
+        report = run_experiment(three_datasets(seed), seed=seed)
+        assert isinstance(report.blocks[1].approaches["CDP"], FailedApproach)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_first_one_class_dataset_raises(self, monkeypatch, workers):
+        real_split = se.split
+
+        def one_class_when_odd(ds, fraction, seed):
+            train_ds, test_ds = real_split(ds, fraction=fraction, seed=seed)
+            if ds.n % 2:
+                test_ds = test_ds.take(np.flatnonzero(test_ds.target == 0))
+            return train_ds, test_ds
+
+        monkeypatch.setattr(threads, "WORKERS", workers)
+        monkeypatch.setattr(se, "split", one_class_when_odd)
+        (_, ds, _), _ = synthetic_datasets(4, 1500, "std")
+        odd = ds.take(np.arange(1499))
+        datasets = [("first", odd, "X3"), ("synthetic#1", ds, "X3"), ("third", odd, "X3")]
+        with pytest.raises(ValueError) as err:
+            run_experiment(datasets, seed=4)
+        assert str(err.value) == "first: the test split holds one class, so ROC AUC is undefined"
 
 
 # sha256 of (experiment.csv, experiment.json) written by
