@@ -295,13 +295,14 @@ def simulate(scm, n, seed=0):
     Noise is drawn node by node in topological order from a single
     generator, so two runs with the same seed are bit-identical.
     """
+    latents = _draw_noise(scm, n, seed)
+    return _propagate(scm, latents, {}), latents
+
+
+def _draw_noise(scm, n, seed):
+    """n draws of each node's noise, in node order, from one generator."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    values, latents = {}, {}
-    for node in scm.dag.nodes:
-        u = scm.noises[node].draw(rng, n)
-        latents[node] = u
-        values[node] = scm.assignments[node].evaluate(values, u)
-    return values, latents
+    return {node: scm.noises[node].draw(rng, n) for node in scm.dag.nodes}
 
 
 def sample(scm, n, seed=0):
@@ -771,8 +772,7 @@ def expectation_intervention_gap(scm, decision_fn, a, b, mc_budget=10000, seed=0
     estimate's variance reflects only genuinely divergent outcomes.
     """
     sens = _sensitive_or_error(scm)
-    rng = np.random.default_rng(seed)
-    noise = {node: scm.noises[node].draw(rng, int(mc_budget)) for node in scm.dag.nodes}
+    noise = _draw_noise(scm, int(mc_budget), seed)
     means = []
     for v in (a, b):
         values = _propagate(scm, noise, {sens: float(v)})

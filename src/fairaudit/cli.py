@@ -6,18 +6,16 @@ undefined or skipped and are flagged in the output); 64 usage error;
 names each metric's required inputs: a metric named in ``--metrics``
 whose inputs are missing exits 64 (``--model``, ``--condition-on``) or
 65 (decisions, scores, target), while ``--metrics all`` lists it as
-skipped with the reason and exits 2. The ``FAIRAUDIT_SEED`` and
-``FAIRAUDIT_FORMAT`` environment variables set the defaults of
-``--seed`` and ``--format``; an invalid value exits 64.
+skipped with the reason and exits 2. Each subcommand accepts only the
+options it reads. The ``FAIRAUDIT_SEED`` environment variable sets the
+default of ``--seed``, and ``FAIRAUDIT_FORMAT`` that of ``audit
+--format``; an invalid value exits 64.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
-import json
 import math
 import os
 import sys
@@ -30,6 +28,8 @@ from . import synth_experiment
 from .data import (
     ParseError,
     SchemaError,
+    _csv_line,
+    _json_text,
     load_csv,
     load_predictions,
     load_schema,
@@ -60,20 +60,18 @@ class _Parser(argparse.ArgumentParser):
 class Criterion(NamedTuple):
     """One audit metric: name, aliases, required inputs and how to run it.
 
-    ``needs`` holds ``(input, message)`` pairs, checked in order. The data
-    inputs are decisions, scores and target (a metric named without one
-    exits 65); the options are model and condition_on (exit 64). Under
-    ``--metrics all`` the first unmet one is reported as skipped instead.
-    ``run`` maps the audit inputs to the metric's JSON document.
+    ``option`` is an ``(argument, message)`` pair, checked first: a metric
+    named without it exits 64. ``needs`` are the data inputs as
+    ``group_metrics._require`` takes them (exit 65). Under ``--metrics all``
+    the first unmet input is reported as skipped instead. ``run`` maps the
+    audit inputs to the metric's JSON document.
     """
 
     name: str
     needs: tuple
     run: Callable
     aliases: tuple = ()
-
-
-_OPTIONS = ("model", "condition_on")
+    option: tuple | None = None
 
 
 def _stats_row(name, aliases=()):
@@ -108,10 +106,10 @@ CRITERIA = (
     _stats_row("demographic_parity", ("dp",)),
     Criterion(
         "conditional_demographic_parity",
-        (("condition_on", "conditional_demographic_parity needs --condition-on"),
-         group_metrics.DECISIONS),
+        (group_metrics.DECISIONS,),
         _cdp,
         ("cdp",),
+        ("condition_on", "conditional_demographic_parity needs --condition-on"),
     ),
     _stats_row("equality_of_odds", ("eo",)),
     _stats_row("predictive_equality"),
@@ -162,7 +160,7 @@ CRITERIA = (
             a.ds, a.preds, a.dist, a.args.lipschitz_constant, a.args.max_pairs, a.args.seed
         ).to_json_dict(),
     ),
-    Criterion("flip", (("model", "the flip metric needs --model"),), _flip),
+    Criterion("flip", (), _flip, option=("model", "the flip metric needs --model")),
 )
 
 METRICS = tuple(c.name for c in CRITERIA)
@@ -194,25 +192,9 @@ def _flatten_csv(doc, prefix=""):
     return rows
 
 
-def _csv_line(fields):
-    """One CSV record of ``str(field)`` values, ending in ``\\n``.
-
-    The writer ends records in ``\\r\\n`` so that it quotes a field that
-    holds either character (before Python 3.13 it quotes only its
-    terminator's); the ``\\r`` is then dropped from the end.
-    """
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerow([str(f) for f in fields])
-    return buf.getvalue()[:-2] + "\n"
-
-
-def _emit(doc, args):
-    # strict JSON refuses nan/inf anywhere in the report, for either format
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if args.format == "csv":
-        text = "".join(_csv_line(row) for row in [("key", "value"), *_flatten_csv(doc)])
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+def _emit(text, output):
+    if output:
+        Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -246,13 +228,6 @@ def cmd_audit(args):
             raise UsageError(f"unknown metric {raw.strip()!r}")
     if preds is None:
         raise UsageError("no predictions: pass --predictions and/or --model")
-    have = {
-        "decisions": preds.decisions is not None,
-        "scores": preds.scores is not None,
-        "target": ds.target is not None,
-        "model": model is not None,
-        "condition_on": bool(args.condition_on),
-    }
     dist = individual_metrics.DistanceSpec(
         "euclidean_raw" if args.distance == "raw" else "euclidean_standardized"
     )
@@ -267,9 +242,9 @@ def cmd_audit(args):
     out = {}
     for c, from_all in requested:
         try:
-            for what, message in c.needs:
-                if not have[what]:
-                    raise (UsageError if what in _OPTIONS else ValueError)(message)
+            if c.option and not getattr(args, c.option[0]):
+                raise UsageError(c.option[1])
+            group_metrics._require(ds, preds, c.needs)
             out[c.name] = c.run(inputs)
         except (UsageError, ValueError) as exc:
             # 'all' runs whatever the inputs support and lists the rest as
@@ -277,8 +252,13 @@ def cmd_audit(args):
             if not from_all:
                 raise
             out[c.name] = {"metric": c.name, "skipped": [str(exc)]}
-    _emit({"metrics": out, "n": ds.n}, args)
-    if _has_skips(out) or all(_all_undefined(doc) for doc in out.values()):
+    doc = {"metrics": out, "n": ds.n}
+    # strict JSON refuses nan/inf anywhere in the report, for either format
+    text = _json_text(doc)
+    if args.format == "csv":
+        text = "".join(_csv_line(row) for row in [("key", "value"), *_flatten_csv(doc)])
+    _emit(text, args.output)
+    if _has_skips(out) or all(_all_undefined(m) for m in out.values()):
         return EXIT_PARTIAL
     return EXIT_OK
 
@@ -307,11 +287,7 @@ def cmd_synth(args):
             f"{ds.sensitive.values[i]},{float(x1[i])!r},{float(x2[i])!r},"
             f"{x3[i]},{ds.target[i]}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
@@ -370,19 +346,15 @@ def _parse_kv(text, flag):
 
 
 def cmd_counterfactual(args):
+    if args.budget < 1:  # on every model, not only past the exact cap
+        raise ValueError("mc_budget must be at least 1")
     scm = causal.load_scm(args.scm)
     observed = _parse_kv(args.unit, "--unit")
     do = _parse_kv(args.do, "--do")
     hold = frozenset(s.strip() for s in args.hold.split(",") if s.strip()) if args.hold else frozenset()
     query = causal.CounterfactualQuery(observed, do, hold)
     result = causal.counterfactual(scm, query, args.budget, args.seed)
-    doc = {
-        "means": result.means,
-        "exact": result.exact,
-        "draws": result.draws,
-        "stderr": result.stderr,
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = _json_text(vars(result))
     for node in scm.nodes:
         line = f"counterfactual {node} = {result.means[node]:g}"
         if result.stderr is not None:
@@ -413,12 +385,10 @@ def cmd_experiment(args):
     )
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "experiment.json").write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
-    (outdir / "experiment.csv").write_text(report.to_csv(), encoding="utf-8")
-    sys.stdout.write(report.to_csv())
+    (outdir / "experiment.json").write_text(_json_text(report.to_json_dict()), encoding="utf-8")
+    table = report.to_csv()
+    (outdir / "experiment.csv").write_text(table, encoding="utf-8")
+    sys.stdout.write(table)
     failures = report.failures()
     for dataset, approach, reason in failures:
         print(f"warning: {dataset} {approach} failed: {reason}", file=sys.stderr)
@@ -439,22 +409,24 @@ FORMATS = ("json", "csv")
 
 
 def build_parser():
-    # --seed and --format default to None; main fills them from the
-    # environment on every call, since the parser is built once per process
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # a subcommand takes only the shared options it reads. --seed and
+    # --format default to None; main fills them from the environment on
+    # every call, since the parser is built once per process
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument(
         "--seed", type=int, default=None,
         help="root seed (default $FAIRAUDIT_SEED or 0); per-task seeds are "
         "derived by hashing task labels with it",
     )
-    common.add_argument("--output", default=None, help="write the report here instead of stdout")
-    common.add_argument(
-        "--format", choices=FORMATS, default=None, help="default $FAIRAUDIT_FORMAT or json"
-    )
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None, help="write the report here instead of stdout")
     parser = _Parser(prog="fairaudit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("audit", parents=[common], help="run fairness metrics on a CSV")
+    p = sub.add_parser("audit", parents=[seed, output], help="run fairness metrics on a CSV")
+    p.add_argument(
+        "--format", choices=FORMATS, default=None, help="default $FAIRAUDIT_FORMAT or json"
+    )
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True, help="key-value schema file")
     p.add_argument(
@@ -483,13 +455,17 @@ def build_parser():
     p.add_argument("--max-pairs", type=int, default=10000)
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("synth", parents=[common], help="emit a synthetic benchmark CSV")
+    p = sub.add_parser("synth", parents=[seed, output], help="emit a synthetic benchmark CSV")
     p.add_argument("--target", choices=("high", "low"), default="high")
     p.add_argument("--n", type=int, default=15000)
     p.add_argument("--noise", choices=("std", "variance", "auto"), default="std")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", parents=[common], help="train the built-in classifier")
+    p = sub.add_parser(
+        "train", parents=[seed], help="train the built-in classifier",
+        description="Training draws nothing at random: --seed is accepted, so that "
+        "scripts can pass one seed to every command, and not read.",
+    )
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument(
@@ -505,19 +481,21 @@ def build_parser():
     )
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("counterfactual", parents=[common], help="three-step counterfactual query")
+    p = sub.add_parser(
+        "counterfactual", parents=[seed, output], help="three-step counterfactual query"
+    )
     p.add_argument("--scm", required=True, help="model JSON file")
     p.add_argument("--unit", required=True, help="observed unit, node=value pairs")
     p.add_argument("--do", required=True, help="intervention, node=value pairs")
     p.add_argument("--hold", default=None, help="mediators held at factual values")
     p.add_argument(
         "--budget", type=int, default=10000,
-        help=f"Monte Carlo draws, used only past {causal._EXACT_CAP} uncertain nodes; "
-        "below that the answer is exact",
+        help=f"Monte Carlo draws (at least 1), used only past {causal._EXACT_CAP} "
+        "uncertain nodes; below that the answer is exact",
     )
     p.set_defaults(func=cmd_counterfactual)
 
-    p = sub.add_parser("experiment", parents=[common], help="full mitigation comparison")
+    p = sub.add_parser("experiment", parents=[seed], help="full mitigation comparison")
     p.add_argument("--adult", default=None, help="optional census CSV path")
     p.add_argument("--adult-schema", default=None)
     p.add_argument("--adult-condition", default="marital-status")
@@ -539,7 +517,8 @@ def _env_defaults(args):
             args.seed = int(raw)
         except ValueError:
             raise UsageError(f"FAIRAUDIT_SEED={raw!r} is not an integer") from None
-    if args.format is None:
+    # only audit has --format
+    if getattr(args, "format", "json") is None:
         args.format = os.environ.get("FAIRAUDIT_FORMAT", "json")
         if args.format not in FORMATS:
             raise UsageError(f"FAIRAUDIT_FORMAT={args.format!r} is not one of json, csv")

@@ -1,4 +1,4 @@
-"""Tabular dataset containers, CSV ingestion, grouping and splitting.
+"""Tabular dataset containers, CSV ingestion and report text, grouping and splitting.
 
 A dataset is a set of aligned columns: non-sensitive features (continuous
 or categorical), one sensitive attribute partitioning rows into groups,
@@ -12,6 +12,8 @@ read-only) and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import io
+import json
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -306,6 +308,22 @@ def _read_csv(path):
     return header, rows
 
 
+def _csv_line(fields):
+    """One CSV record of ``str(field)`` values, ending in ``\\n``.
+
+    Records end in ``\\r\\n``, then lose the ``\\r``, so that a field holding
+    either character is quoted (before Python 3.13 only the ending's are).
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow([str(f) for f in fields])
+    return buf.getvalue()[:-2] + "\n"
+
+
+def _json_text(doc):
+    """Strict JSON text of a report or model: nan or inf raises ValueError."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _cells(rows, j, name):
     """The stripped cells of column ``j``; a short row or blank cell is missing."""
     try:
@@ -462,6 +480,9 @@ def split(ds, preds=None, fraction=0.7, seed=0):
     nonempty. Returns ``(train, test)`` datasets, or
     ``((train_ds, train_preds), (test_ds, test_preds))`` when predictions
     are passed (prediction rows follow their dataset rows).
+
+    The shuffle permutes row positions, not row contents: the same rows in
+    another order give another split for the same seed.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie strictly between 0 and 1")

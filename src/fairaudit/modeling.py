@@ -46,10 +46,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
-from .data import CATEGORICAL, PredictionSet, cell_rows
+from .data import CATEGORICAL, PredictionSet, _json_text, cell_rows
 from .group_metrics import ThresholdPolicy, apply_threshold
 
 FULL = "full"
@@ -657,9 +658,7 @@ def save_model(model, path):
         "converged": model.converged,
         "policy": None if model.policy is None else model.policy.to_json_dict(),
     }
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    Path(path).write_text(_json_text(doc), encoding="utf-8")
 
 
 def load_model(path):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from . import causal
 from .causal import Assignment, Dag, NoiseSpec, Scm
-from .data import Dataset, PredictionSet, split
+from .data import Dataset, PredictionSet, _csv_line, split
 from .group_metrics import _auc_scores, demographic_parity
 from .individual_metrics import FlipReport, _flipped, flip_assessment
 from .info_theory import symmetric_uncertainty_codes
@@ -265,22 +265,22 @@ class ExperimentReport:
         A failed approach leaves its cells empty.
         """
         names = list(self.blocks[0].approaches) if self.blocks else []
-        lines = ["dataset,metric," + ",".join(names)]
+        lines = [_csv_line(["dataset", "metric", *names])]
         for b in self.blocks:
-            pad = "," * (len(names) - 1)
-            lines.append(f"{b.name},U(Y;A),{b.u_target_attr:.1f}{pad}")
+            pad = [""] * (len(names) - 1)
+            lines.append(_csv_line([b.name, "U(Y;A)", f"{b.u_target_attr:.1f}", *pad]))
             for metric, attr in (
                 ("U(Yhat;A)", "u_pred_attr"),
                 ("ROC AUC", "auc"),
                 ("Flip", "flip_consistency"),
                 ("DP-ratio", "dp_ratio"),
             ):
-                cells = ",".join(
+                cells = [
                     "" if isinstance(m, FailedApproach) else f"{getattr(m, attr):.1f}"
                     for m in (b.approaches[a] for a in names)
-                )
-                lines.append(f"{b.name},{metric},{cells}")
-        return "\n".join(lines) + "\n"
+                ]
+                lines.append(_csv_line([b.name, metric, *cells]))
+        return "".join(lines)
 
 
 def approach_spec(approach, conditioning=None, synthetic=True):

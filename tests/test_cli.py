@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairaudit import group_metrics, incompatibility, individual_metrics, modeling, threads
-from fairaudit.causal import save_scm
-from fairaudit.data import load_csv, load_predictions, load_schema
+from fairaudit.causal import save_scm, simulate
+from fairaudit.data import _csv_line, load_csv, load_predictions, load_schema
 from fairaudit.individual_metrics import flip_assessment
 from fairaudit.cli import (
     ALIASES,
@@ -23,12 +23,11 @@ from fairaudit.cli import (
     EXIT_PARTIAL,
     EXIT_USAGE,
     METRICS,
-    _csv_line,
     _flatten_csv,
     build_parser,
     main,
 )
-from tests.test_causal import chain_scm
+from tests.test_causal import cap_scm, chain_scm
 
 
 @pytest.fixture()
@@ -751,6 +750,28 @@ class TestCounterfactualCli:
         assert captured.out == ""
         assert "not a finite number" in captured.err
 
+    @pytest.mark.parametrize("past_cap", [False, True])
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_data_error(self, tmp_path, capsys, past_cap, budget):
+        # the chain model is answered exactly and draws nothing; the cap
+        # model has more random nodes than the exact path takes
+        if past_cap:
+            scm = cap_scm()
+            values, _ = simulate(scm, 1, seed=6)
+            unit = ",".join(f"{k}={float(v[0])!r}" for k, v in values.items())
+            do = "A=1"
+        else:
+            scm, unit, do = chain_scm(), "A=1,X=1.5", "A=0"
+        path, report = tmp_path / "scm.json", tmp_path / "cf.json"
+        save_scm(scm, path)
+        code = main(["counterfactual", "--scm", str(path), "--unit", unit, "--do", do,
+                     "--budget", budget, "--output", str(report)])
+        assert code == EXIT_DATA
+        assert not report.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "data error: mc_budget must be at least 1" in captured.err
+
 
 class TestExperimentCli:
     def test_two_synthetic_blocks_and_outputs(self, tmp_path, capsys):
@@ -963,6 +984,73 @@ class TestGlobalOptions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "usage error: FAIRAUDIT_FORMAT='xml'" in captured.err
+
+
+def commands_without_format(tmp_path, toy_csv):
+    """A valid argv of each subcommand that has no ``--format``, with the
+    files it writes."""
+    data, schema = toy_csv
+    scm, model, cf, out = (tmp_path / f for f in ("chain.json", "m.json", "cf.json", "exp"))
+    save_scm(chain_scm(), scm)
+    return {
+        "synth": (["synth", "--n", "20", "--output", str(tmp_path / "s.csv")],
+                  [tmp_path / "s.csv"]),
+        "train": (["train", "--data", str(data), "--schema", str(schema),
+                   "--strategy", "full", "--model-out", str(model)], [model]),
+        "counterfactual": (["counterfactual", "--scm", str(scm), "--unit", "A=1,X=1.5",
+                            "--do", "A=0", "--output", str(cf)], [cf]),
+        "experiment": (["experiment", "--n", "400", "--noise", "std", "--out", str(out)],
+                       [out / "experiment.csv", out / "experiment.json"]),
+    }
+
+
+class TestOptionsPerSubcommand:
+    @pytest.mark.parametrize("command, flag", [
+        ("synth", "--format"),
+        ("train", "--format"),
+        ("train", "--output"),
+        ("counterfactual", "--format"),
+        ("experiment", "--format"),
+        ("experiment", "--output"),
+    ])
+    def test_an_option_the_command_does_not_read_is_usage_error(
+        self, toy_csv, tmp_path, capsys, command, flag
+    ):
+        argv, files = commands_without_format(tmp_path, toy_csv)[command]
+        report = tmp_path / "r.json"
+        value = "csv" if flag == "--format" else str(report)
+        assert main([*argv, flag, value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usage error: unrecognized arguments: {flag} {value}" in captured.err
+        assert not report.exists() and not any(f.exists() for f in files)
+
+    @pytest.mark.parametrize("command", ["synth", "train", "counterfactual", "experiment"])
+    def test_format_variable_is_read_by_audit_only(
+        self, toy_csv, tmp_path, monkeypatch, capsys, command
+    ):
+        argv, files = commands_without_format(tmp_path, toy_csv)[command]
+        runs = []
+        for value in (None, "xml"):
+            if value is None:
+                monkeypatch.delenv("FAIRAUDIT_FORMAT", raising=False)
+            else:
+                monkeypatch.setenv("FAIRAUDIT_FORMAT", value)
+            code = main(argv)
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err, [f.read_bytes() for f in files]))
+            for f in files:
+                f.unlink()
+        assert runs[0][0] == EXIT_OK
+        assert runs[1] == runs[0]
+
+    def test_train_accepts_the_seed_it_does_not_read(self, toy_csv, tmp_path):
+        # scripts pass one --seed to every command; training draws nothing
+        argv, (model,) = commands_without_format(tmp_path, toy_csv)["train"]
+        assert main(argv) == EXIT_OK
+        unseeded = model.read_bytes()
+        assert main([*argv, "--seed", "7"]) == EXIT_OK
+        assert model.read_bytes() == unseeded
 
 
 AUDIT_SCHEMA = "sensitive = A\ntarget = Y\ncategorical = X3\n"

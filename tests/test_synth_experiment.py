@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -160,6 +162,14 @@ class TestRunExperiment:
             for cell in cells:
                 if cell:
                     float(cell)  # one-decimal numbers only
+
+    def test_csv_quotes_a_dataset_name_with_a_comma(self):
+        (_, ds, cond), _ = se.synthetic_datasets(4, 600, "std")
+        rep = run_experiment([("site a, 2020", ds, cond)], seed=4, noise_interpretation="std")
+        rows = list(csv.reader(io.StringIO(rep.to_csv(), newline="")))
+        assert rows[0] == ["dataset", "metric", "FTU", "Supp_l", "Supp_h", "CDP", "DP"]
+        assert len(rows) == 1 + 5 and all(len(row) == 7 for row in rows)
+        assert {row[0] for row in rows[1:]} == {"site a, 2020"}
 
     def test_json_round_trip(self, report):
         doc = json.loads(json.dumps(report.to_json_dict()))
