@@ -2,14 +2,16 @@
 
 Exit codes: 0 success; 2 partial success (some requested cells were
 undefined or skipped and are flagged in the output); 64 usage error;
-65 data error. ``audit`` metrics come from one table, ``CRITERIA``, that
-names each metric's required inputs: a metric named in ``--metrics``
-whose inputs are missing exits 64 (``--model``, ``--condition-on``) or
-65 (decisions, scores, target), while ``--metrics all`` lists it as
+65 data error, a path that cannot be read or written included.
+``audit`` metrics come from one table, ``CRITERIA``, that names each
+metric's required inputs: a metric named in ``--metrics`` whose inputs
+are missing exits 64 (``--model``, ``--condition-on``) or 65
+(decisions, scores, target), while ``--metrics all`` lists it as
 skipped with the reason and exits 2. Each subcommand accepts only the
 options it reads. The ``FAIRAUDIT_SEED`` environment variable sets the
 default of ``--seed``, and ``FAIRAUDIT_FORMAT`` that of ``audit
---format``; an invalid value exits 64.
+--format``; an invalid value exits 64, except that ``train``, which reads
+no seed, ignores ``FAIRAUDIT_SEED``.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from typing import Callable, NamedTuple
 from . import causal, group_metrics, incompatibility, individual_metrics, modeling
 from . import synth_experiment
 from .data import (
-    ParseError,
-    SchemaError,
     _csv_line,
     _json_text,
     load_csv,
@@ -142,7 +142,7 @@ CRITERIA = (
         individual_metrics.CONSISTENCY_NEEDS,
         lambda a: {
             "metric": "consistency",
-            "value": individual_metrics._consistency(a.ds, a.preds, a.args.k, a.encoded),
+            "value": individual_metrics.consistency(a.ds, a.preds, a.args.k, a.dist),
         },
     ),
     Criterion(
@@ -150,7 +150,7 @@ CRITERIA = (
         individual_metrics.DISPARITY_NEEDS,
         lambda a: {
             "metric": "similarity_weighted_disparity",
-            "value": individual_metrics._similarity_weighted_disparity(a.ds, a.preds, a.encoded),
+            "value": individual_metrics.similarity_weighted_disparity(a.ds, a.preds, a.dist),
         },
     ),
     Criterion(
@@ -235,9 +235,8 @@ def cmd_audit(args):
         ds=ds, preds=preds, model=model, args=args, dist=dist,
         # the model's own decisions, unless preds came from --predictions
         model_preds=None if pred_cols else preds,
+        # computed once: the metrics read off the group stats share it
         stats=group_metrics.compute_group_stats(ds, preds),
-        # consistency and the disparity share one encoding, made on first use
-        encoded=functools.cache(lambda: individual_metrics.encode_for_distance(ds, dist)),
     )
     out = {}
     for c, from_all in requested:
@@ -511,7 +510,8 @@ _parser = functools.cache(build_parser)
 
 
 def _env_defaults(args):
-    if args.seed is None:
+    # train reads no seed, so a variable it would ignore cannot stop it
+    if args.seed is None and args.command != "train":
         raw = os.environ.get("FAIRAUDIT_SEED", "0")
         try:
             args.seed = int(raw)
@@ -532,7 +532,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SchemaError, ParseError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

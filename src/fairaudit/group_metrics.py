@@ -186,15 +186,16 @@ TARGET = ("target", "this criterion needs the ground-truth target")
 
 
 def _require(ds, preds, needs):
-    """Raise ValueError for the first missing input of ``needs``."""
+    """Raise ValueError for the first missing input of ``needs``, then for
+    predictions that do not cover ``ds``'s rows."""
     for what, message in needs:
         if what == "target":
             if ds.target is None:
                 raise ValueError(message)
         elif preds is None or getattr(preds, what) is None:
             raise ValueError(message)
-        elif ds is not None and preds.n != ds.n:
-            raise ValueError(f"predictions cover {preds.n} rows, dataset has {ds.n}")
+    if ds is not None and preds is not None and preds.n != ds.n:
+        raise ValueError(f"predictions cover {preds.n} rows, dataset has {ds.n}")
 
 
 # The criteria read off GroupStats: name -> (required inputs, parts). A part

@@ -59,6 +59,8 @@ class CriteriaGaps:
 def gaps(ds, preds):
     """Criteria gaps of one prediction set against one dataset."""
     _require(ds, preds, GAPS_NEEDS)
+    if preds is None:
+        raise ValueError("criteria gaps need decisions or scores")
     return _gaps(ds, preds, compute_group_stats(ds, preds))
 
 
@@ -87,6 +89,18 @@ def _gaps(ds, preds, stats):
     return CriteriaGaps(indep, sep, suff, base, useful, tuple(flags))
 
 
+def _checked_rates(first, second, base_rates):
+    """``base_rates`` as a list, once the two named rates and every base
+    rate lie in [0, 1]."""
+    for name, v in (first, second):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1]")
+    rates = list(base_rates)
+    if any(not 0.0 <= p <= 1.0 for p in rates):
+        raise ValueError("base rates must lie in [0, 1]")
+    return rates
+
+
 def separation_implies_dp_gap(tpr, fpr, base_rates):
     """Demographic disparity forced by exact separation.
 
@@ -95,12 +109,7 @@ def separation_implies_dp_gap(tpr, fpr, base_rates):
     gap equals ``|tpr - fpr| * max-pairwise |p_a - p_b|``. Zero only when
     the classifier is useless (tpr = fpr) or base rates agree.
     """
-    for name, v in (("tpr", tpr), ("fpr", fpr)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1]")
-    rates = list(base_rates)
-    if any(not 0.0 <= p <= 1.0 for p in rates):
-        raise ValueError("base rates must lie in [0, 1]")
+    rates = _checked_rates(("tpr", tpr), ("fpr", fpr), base_rates)
     return abs(tpr - fpr) * _gap(rates)
 
 
@@ -112,12 +121,7 @@ def sufficiency_implies_dp_gap(ppv, npv, base_rates):
     ``max-pairwise |p_a - p_b| / |ppv + npv - 1|``. At ``ppv + npv = 1`` the
     classifier is uninformative and the identity diverges (flagged, inf).
     """
-    for name, v in (("ppv", ppv), ("npv", npv)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1]")
-    rates = list(base_rates)
-    if any(not 0.0 <= p <= 1.0 for p in rates):
-        raise ValueError("base rates must lie in [0, 1]")
+    rates = _checked_rates(("ppv", ppv), ("npv", npv), base_rates)
     denom = ppv + npv - 1.0
     gap = _gap(rates)
     if denom == 0.0:

@@ -198,18 +198,12 @@ def consistency(ds, preds, k=5, dist=DistanceSpec()):
     k-th distance are all included, so the neighbourhood is deterministic
     without arbitrary ordering. Equals 1 for any constant decision rule.
     """
-    return _consistency(ds, preds, k, lambda: encode_for_distance(ds, dist))
-
-
-def _consistency(ds, preds, k, encoded):
-    """:func:`consistency` over the rows ``encoded()`` returns, called once
-    the inputs pass their checks."""
     group_metrics._require(ds, preds, CONSISTENCY_NEEDS)
     n = ds.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must lie in [1, {n - 1}]")
     dec = preds.decisions.astype(float)
-    means = _knn_means(encoded(), dec, k)
+    means = _knn_means(encode_for_distance(ds, dist), dec, k)
     total = 0.0
     for start in range(0, n, 512):
         rows = slice(start, start + 512)
@@ -278,12 +272,6 @@ def similarity_weighted_disparity(ds, preds, dist=DistanceSpec()):
     given encoded rows, the value depends on neither the row order nor the
     block size.
     """
-    return _similarity_weighted_disparity(ds, preds, lambda: encode_for_distance(ds, dist))
-
-
-def _similarity_weighted_disparity(ds, preds, encoded):
-    """:func:`similarity_weighted_disparity` over the rows ``encoded()``
-    returns, called once the inputs pass their checks."""
     group_metrics._require(ds, preds, DISPARITY_NEEDS)
     if ds.sensitive.n_groups != 2:
         raise ValueError("binary sensitive attribute required; intersect/recode first")
@@ -291,7 +279,7 @@ def _similarity_weighted_disparity(ds, preds, encoded):
     n1, n0 = len(rej1) + len(acc1), len(rej0) + len(acc0)
     if n1 == 0 or n0 == 0:
         raise ValueError("both groups must be nonempty")
-    x = encoded()
+    x = encode_for_distance(ds, dist)
     row_sums = _exp_neg_row_sums(x[acc1], x[rej0]) + _exp_neg_row_sums(x[rej1], x[acc0])
     return math.fsum(row_sums) / (n1 * n0)
 

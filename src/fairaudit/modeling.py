@@ -316,12 +316,11 @@ class RowMemo:
     """Work on one dataset's rows that several models of those rows share.
 
     :func:`train` takes from it each feature's suppression correlation and
-    each Newton fit, with that fit's scores on the rows and its global DP
-    policy, each computed once. A fit is keyed by what it reads: the kept
-    features, whether the attribute is used, and the :class:`TrainConfig`;
-    so the DP and CDP models of the rows share one fit and one global
-    scan. Keep it while training models of ``ds``'s rows, and drop it with
-    them.
+    each Newton fit, with that fit's global DP policy, each computed once.
+    A fit is keyed by what it reads: the kept features, whether the
+    attribute is used, and the :class:`TrainConfig`; so the DP and CDP
+    models of the rows share one fit and one global scan. Keep it while
+    training models of ``ds``'s rows, and drop it with them.
     """
 
     def __init__(self, ds):
@@ -357,14 +356,12 @@ class _Fit:
         # memoised by hand: before Python 3.12 a cached_property holds one
         # lock for all instances, which would serialise the fits of
         # datasets on worker threads
-        self._scores = self._dp_policy = None
+        self._dp_policy = None
 
     @property
     def scores(self):
         """The fitted model's scores on the rows: those :func:`score` gives."""
-        if self._scores is None:
-            self._scores = _sigmoid(self.logits)
-        return self._scores
+        return _sigmoid(self.logits)
 
     @property
     def dp_policy(self):
@@ -545,12 +542,13 @@ def score(model, ds):
     return _sigmoid(x @ model.weights + model.intercept)
 
 
-def decide(model, ds, scores):
-    """The model's decisions on ``ds``'s rows, from its ``scores`` on them.
+def predict(model, ds):
+    """The model's scores on ``ds``'s rows (:func:`score`) and its decisions.
 
     Decisions follow the model's threshold policy when it has one, else the
-    fixed rule score >= 0.5. Returns the decisions with the scores.
+    fixed rule score >= 0.5.
     """
+    scores = score(model, ds)
     policy = model.policy
     if policy is None:
         return PredictionSet((scores >= 0.5).astype(int), scores)
@@ -558,11 +556,6 @@ def decide(model, ds, scores):
     col = policy.stratum_column
     strata = None if col is None else ds.column_codes(col)[0]
     return apply_threshold(PredictionSet(scores=scores), policy, ds.sensitive, strata)
-
-
-def predict(model, ds):
-    """Scores and decisions for a dataset: :func:`decide` of :func:`score`."""
-    return decide(model, ds, score(model, ds))
 
 
 def fit_dp_threshold_scores(scores, groups, n_groups, target, grid_size=100):

@@ -37,7 +37,7 @@ from . import causal
 from .causal import Assignment, Dag, NoiseSpec, Scm
 from .data import Dataset, PredictionSet, _csv_line, split
 from .group_metrics import _auc_scores, demographic_parity
-from .individual_metrics import FlipReport, _flipped, flip_assessment
+from .individual_metrics import FlipReport, flip_assessment
 from .info_theory import symmetric_uncertainty_codes
 from .modeling import (
     CDP_POST,
@@ -46,8 +46,7 @@ from .modeling import (
     SUPPRESSION,
     MitigationSpec,
     RowMemo,
-    decide,
-    score,
+    predict,
     train,
 )
 from .seeding import derive_seed
@@ -309,66 +308,34 @@ def approach_spec(approach, conditioning=None, synthetic=True):
     raise ValueError(f"unknown approach {approach!r}")
 
 
-class _SharedWork:
-    """The test-row scores that the approaches of one dataset share.
-
-    Models of one Newton fit (CDP and DP post-process the fit that
-    ``full`` makes) score the test rows, and the test rows with the
-    attribute flipped, once each. A model's fit is named by the features
-    its encoder reads and whether it reads the attribute. It lives for one
-    dataset's loop.
-    """
-
-    def __init__(self, test_ds):
-        self.rows = {"test": test_ds}
-        self._scores = {}
-
-    def scores(self, model, rows):
-        """The scores of ``model`` on ``rows``: "test" or "flipped"."""
-        key = (model.encoder.columns, model.encoder.include_sensitive, rows)
-        if key not in self._scores:
-            if rows not in self.rows:  # the flipped test rows, made on first use
-                self.rows[rows] = _flipped(self.rows["test"])
-            self._scores[key] = score(model, self.rows[rows])
-        return self._scores[key]
-
-
-def _flip_report(model, ds, decisions, flipped_scores):
-    """:func:`flip_assessment` of the model's ``decisions`` on ``ds``;
-    ``flipped_scores()`` gives its scores on ``ds`` with the attribute
-    flipped.
+def _flip_report(model, ds, decisions):
+    """:func:`flip_assessment` of the model's ``decisions`` on ``ds``.
 
     Decisions that read neither the attribute nor a per-group policy cannot
     change when a binary attribute flips, so they are not scored again.
     """
     if model.policy is None and not model.trained_with_sensitive and ds.sensitive.n_groups == 2:
         return FlipReport(0.0, 1.0)
-    return flip_assessment(
-        ds, lambda flipped: decide(model, flipped, flipped_scores()), decisions=decisions
-    )
+    return flip_assessment(ds, lambda d: predict(model, d), decisions=decisions)
 
 
-def evaluate_approach(name, memo, shared, conditioning, synthetic):
+def evaluate_approach(name, memo, test_ds, conditioning, synthetic):
     """Train one approach and measure the four table metrics on the test part.
 
     ``memo`` is the :class:`~fairaudit.modeling.RowMemo` of the train
-    rows and ``shared`` the :class:`_SharedWork` of the test rows, which
-    the approaches of one dataset share. The test rows must hold both
-    classes (``run_experiment`` checks it once per dataset): the ROC AUC
-    is undefined otherwise.
+    rows, which the approaches of one dataset share. The test rows must
+    hold both classes (``run_experiment`` checks it once per dataset): the
+    ROC AUC is undefined otherwise.
     """
     spec = approach_spec(name, conditioning, synthetic)
     model = train(memo.ds, spec, memo=memo)
-    test_ds = shared.rows["test"]
-    preds = decide(model, test_ds, shared.scores(model, "test"))
+    preds = predict(model, test_ds)
     a_codes = test_ds.sensitive.values
     u = 100.0 * symmetric_uncertainty_codes(preds.decisions, a_codes)
     # post-processing emits decisions, not scores: rank on the final output
     basis = "scores" if model.policy is None else "decisions"
     auc = _auc_scores(test_ds.target, getattr(preds, basis))
-    flip = _flip_report(
-        model, test_ds, preds.decisions, lambda: shared.scores(model, "flipped")
-    )
+    flip = _flip_report(model, test_ds, preds.decisions)
     # the ratio reads the group counts and acceptances only: without a
     # target the group stats skip the base rates and confusion cells
     dp = demographic_parity(Dataset((), test_ds.sensitive), PredictionSet(preds.decisions))
@@ -399,10 +366,10 @@ def _dataset_block(item, seed, split_fraction):
     train_ds, test_ds = split(ds, fraction=split_fraction, seed=derive_seed(seed, f"split:{name}"))
     if len(set(test_ds.target.tolist())) < 2:
         raise ValueError(f"{name}: the test split holds one class, so ROC AUC is undefined")
-    cells, memo, shared = {}, RowMemo(train_ds), _SharedWork(test_ds)
+    cells, memo = {}, RowMemo(train_ds)
     for approach in APPROACHES:
         try:
-            cells[approach] = evaluate_approach(approach, memo, shared, conditioning, synthetic)
+            cells[approach] = evaluate_approach(approach, memo, test_ds, conditioning, synthetic)
         except ValueError as exc:
             cells[approach] = FailedApproach(str(exc))
     return DatasetBlock(name, _u_target_attr(ds), cells)
@@ -422,12 +389,12 @@ def run_experiment(
     (under the calibrated noise reading unless one is forced) and
     conditioned on X3 for CDP. All randomness derives from ``seed``. Each
     dataset makes each distinct Newton fit once (CDP and DP share one;
-    :class:`~fairaudit.modeling.RowMemo`) and scores the test rows with it
-    once (:class:`_SharedWork`). An
-    approach that raises ``ValueError`` (e.g. it drops every feature) is
-    reported as a :class:`FailedApproach` and the rest of the table is
-    still computed; a test split that holds one class, where no approach
-    has an AUC, raises (the first such dataset in order names itself).
+    :class:`~fairaudit.modeling.RowMemo`); each approach scores the test
+    rows itself. An approach that raises ``ValueError`` (e.g. it drops
+    every feature) is reported as a :class:`FailedApproach` and the rest
+    of the table is still computed; a test split that holds one class,
+    where no approach has an AUC, raises (the first such dataset in order
+    names itself).
 
     The datasets run on worker threads, one dataset per item, with
     OpenBLAS on one thread throughout; the report is the same bits for any

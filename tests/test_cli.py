@@ -90,9 +90,9 @@ class TestAudit:
         assert expected <= set(doc["metrics"])
 
     @pytest.mark.parametrize("distance", ["standardized", "raw"])
-    def test_one_encoding_per_distance_kind(self, toy_csv, tmp_path, monkeypatch, distance):
-        # consistency and the disparity share one encoding; the Lipschitz
-        # audit adds the attribute, so it encodes its own
+    def test_each_distance_metric_encodes_once(self, toy_csv, tmp_path, monkeypatch, distance):
+        # consistency and the disparity each encode the features; the
+        # Lipschitz audit adds the attribute
         data, schema = toy_csv
         calls = []
         real = individual_metrics.encode_for_distance
@@ -116,7 +116,7 @@ class TestAudit:
             ]
         )
         kind = "euclidean_raw" if distance == "raw" else "euclidean_standardized"
-        assert calls == [(kind, False), (kind, True)]
+        assert calls == [(kind, False), (kind, False), (kind, True)]
         monkeypatch.undo()
         doc = json.loads(out.read_text())["metrics"]
         ds = load_csv(data, load_schema(schema), exclude=("pred",))
@@ -873,6 +873,22 @@ class TestExperimentCli:
 
 
 class TestGlobalOptions:
+    @pytest.mark.parametrize("command", ["synth", "audit"])
+    def test_unusable_path_is_data_error(self, toy_csv, tmp_path, capsys, command):
+        # a directory where a file is written or read
+        data, schema = toy_csv
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        argv = {
+            "synth": ["synth", "--n", "5", "--output", str(folder)],
+            "audit": ["audit", "--data", str(folder), "--schema", str(schema),
+                      "--predictions", "yhat=pred", "--metrics", "dp"],
+        }[command]
+        assert main(argv) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: ") and str(folder) in captured.err
+
     def test_csv_format_flattens_report(self, toy_csv, tmp_path):
         data, schema = toy_csv
         out = tmp_path / "report.csv"
@@ -931,7 +947,7 @@ class TestGlobalOptions:
     ):
         data, schema = toy_csv
         monkeypatch.setattr(
-            "fairaudit.individual_metrics._consistency", lambda *a, **k: float("nan")
+            "fairaudit.individual_metrics.consistency", lambda *a, **k: float("nan")
         )
         out = tmp_path / "report.txt"
         argv = [
@@ -1043,6 +1059,42 @@ class TestOptionsPerSubcommand:
                 f.unlink()
         assert runs[0][0] == EXIT_OK
         assert runs[1] == runs[0]
+
+    def test_train_ignores_the_seed_variable(self, toy_csv, tmp_path, monkeypatch, capsys):
+        argv, (model,) = commands_without_format(tmp_path, toy_csv)["train"]
+        models = []
+        for value in (None, "abc"):
+            if value is None:
+                monkeypatch.delenv("FAIRAUDIT_SEED", raising=False)
+            else:
+                monkeypatch.setenv("FAIRAUDIT_SEED", value)
+            assert main(argv) == EXIT_OK
+            models.append(model.read_bytes())
+            model.unlink()
+        assert models[1] == models[0]
+        # an explicit --seed is still parsed as an integer
+        assert main([*argv, "--seed", "abc"]) == EXIT_USAGE
+        assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "audit", "counterfactual", "experiment"])
+    def test_commands_that_read_the_seed_refuse_an_invalid_variable(
+        self, toy_csv, tmp_path, monkeypatch, capsys, command
+    ):
+        if command == "audit":
+            data, schema = toy_csv
+            report = tmp_path / "report.json"
+            argv, files = ["audit", "--data", str(data), "--schema", str(schema),
+                           "--predictions", "yhat=pred", "--metrics", "dp",
+                           "--output", str(report)], [report]
+        else:
+            argv, files = commands_without_format(tmp_path, toy_csv)[command]
+        monkeypatch.setenv("FAIRAUDIT_SEED", "abc")
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: FAIRAUDIT_SEED='abc' is not an integer" in captured.err
+        assert not any(f.exists() for f in files)
 
     def test_train_accepts_the_seed_it_does_not_read(self, toy_csv, tmp_path):
         # scripts pass one --seed to every command; training draws nothing

@@ -63,6 +63,51 @@ DEN = 8  # rate denominator: positives/negatives are multiples of it, so
 # every confusion cell below is an exact integer
 
 
+class TestInputChecks:
+    # a missing input is named before predictions of other rows
+    NONE = {
+        gaps: "criteria gaps need decisions or scores",
+        check_sep_suff_exclusion: "this check needs binary decisions",
+    }
+
+    @pytest.mark.parametrize("check", [gaps, check_sep_suff_exclusion])
+    def test_no_predictions(self, check):
+        ds, _ = from_counts([(10, 5, 3, 12), (5, 5, 4, 6)])
+        with pytest.raises(ValueError, match=self.NONE[check]):
+            check(ds, None)
+
+    @pytest.mark.parametrize("check, preds", [
+        (gaps, PredictionSet(np.zeros(10, int))),
+        (gaps, PredictionSet(scores=np.zeros(10))),
+        (check_sep_suff_exclusion, PredictionSet(np.zeros(10, int))),
+    ], ids=["gaps-decisions", "gaps-scores", "sep_suff-decisions"])
+    def test_predictions_of_other_rows(self, check, preds):
+        ds, _ = from_counts([(10, 5, 3, 12), (5, 5, 4, 6)])
+        with pytest.raises(ValueError, match="predictions cover 10 rows, dataset has 50"):
+            check(ds, preds)
+
+    @pytest.mark.parametrize("check", [gaps, check_sep_suff_exclusion])
+    def test_missing_target_comes_before_the_length(self, check):
+        ds, _ = from_counts([(10, 5, 3, 12), (5, 5, 4, 6)])
+        with pytest.raises(ValueError, match="criteria gaps need the ground-truth target"):
+            check(Dataset((), ds.sensitive), PredictionSet(np.zeros(10, int)))
+
+
+@pytest.mark.parametrize("identity, names", [
+    (separation_implies_dp_gap, ("tpr", "fpr")),
+    (sufficiency_implies_dp_gap, ("ppv", "npv")),
+])
+def test_identity_rates_are_checked_in_order(identity, names):
+    first, second = names
+    for args, message in (
+        ((1.2, -0.1, [1.4]), f"{first} must lie in \\[0, 1\\]"),
+        ((0.5, -0.1, [1.4]), f"{second} must lie in \\[0, 1\\]"),
+        ((0.5, 0.1, [0.5, 1.4]), "base rates must lie in \\[0, 1\\]"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            identity(*args)
+
+
 def exact_separation_counts(tpr_num, fpr_num, pos_mults, neg_mults):
     """Group counts realising tpr = tpr_num/DEN and fpr = fpr_num/DEN exactly."""
     groups = []

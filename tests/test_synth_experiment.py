@@ -21,7 +21,7 @@ from fairaudit.data import (
     split,
 )
 from fairaudit.group_metrics import demographic_parity
-from fairaudit.individual_metrics import _flipped, flip_assessment
+from fairaudit.individual_metrics import flip_assessment
 from fairaudit.info_theory import symmetric_uncertainty_codes
 from fairaudit.modeling import (
     CDP_POST,
@@ -31,7 +31,6 @@ from fairaudit.modeling import (
     SUPPRESSION,
     MitigationSpec,
     predict,
-    score,
     train,
 )
 from fairaudit.seeding import derive_seed
@@ -265,8 +264,7 @@ class TestOneFitPerModel:
             for spec in specs + [MitigationSpec(FULL)]:  # FULL reads A without a policy
                 model = train(train_ds, spec)
                 assert _flip_report(
-                    model, test_ds, predict(model, test_ds).decisions,
-                    lambda: score(model, _flipped(test_ds)),
+                    model, test_ds, predict(model, test_ds).decisions
                 ) == flip_assessment(test_ds, lambda d: predict(model, d))
 
     def test_multi_group_attribute_is_still_refused(self):
@@ -277,7 +275,7 @@ class TestOneFitPerModel:
         )
         model = train(three, approach_spec("FTU"))
         with pytest.raises(ValueError, match="non-binary"):
-            _flip_report(model, three, predict(model, three).decisions, None)
+            _flip_report(model, three, predict(model, three).decisions)
 
 
 class TestEachPieceOnce:
@@ -290,9 +288,11 @@ class TestEachPieceOnce:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # each entry is (the target of the rows read, what is checked)
+        # each entry is (the target of the rows read, what is checked);
+        # predict scores through modeling.score
         monkeypatch.setattr(
-            se, "score", counted(scored, se.score, lambda m, ds: (ds.target, (m, ds)))
+            modeling, "score",
+            counted(scored, modeling.score, lambda m, ds: (ds.target, (m, ds))),
         )
         scan = counted(
             scans, modeling.fit_dp_threshold_scores,
@@ -313,16 +313,17 @@ class TestEachPieceOnce:
             return "flipped"
 
         splits = list(experiment_splits(3, 1500, report))
-        assert len(scored) == 5 * len(splits)
+        assert len(scored) == 7 * len(splits)
         for _, train_ds, test_ds in splits:
             # the flipped test rows have the test rows' target
             got = [(m.spec.strategy, rows(d, test_ds)) for m, d in of_rows(scored, test_ds.target)]
-            # FTU and both suppressions on the test rows; the fit that CDP
-            # and DP share on the test and flipped test rows (its train-row
-            # scores come from the fit itself)
+            # FTU and both suppressions on the test rows, whose decisions a
+            # flip cannot change; CDP and DP each on the test and flipped
+            # test rows (the train-row scores come from the fit itself)
             assert got == [
                 (FTU, "test"), (SUPPRESSION, "test"), (SUPPRESSION, "test"),
                 (CDP_POST, "test"), (CDP_POST, "flipped"),
+                (DP_POST, "test"), (DP_POST, "flipped"),
             ]
             # one global DP scan, then one per X3 stratum
             x3 = train_ds.feature("X3").values
