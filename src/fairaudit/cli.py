@@ -3,15 +3,15 @@
 Exit codes: 0 success; 2 partial success (some requested cells were
 undefined or skipped and are flagged in the output); 64 usage error;
 65 data error, a path that cannot be read or written included.
-``audit`` metrics come from one table, ``CRITERIA``, that names each
-metric's required inputs: a metric named in ``--metrics`` whose inputs
-are missing exits 64 (``--model``, ``--condition-on``) or 65
-(decisions, scores, target), while ``--metrics all`` lists it as
-skipped with the reason and exits 2. Each subcommand accepts only the
-options it reads. The ``FAIRAUDIT_SEED`` environment variable sets the
-default of ``--seed``, and ``FAIRAUDIT_FORMAT`` that of ``audit
---format``; an invalid value exits 64, except that ``train``, which reads
-no seed, ignores ``FAIRAUDIT_SEED``.
+``audit`` metrics come from one table, ``CRITERIA``: a metric named in
+``--metrics`` whose inputs are missing exits 64 (``--model``,
+``--condition-on``) or 65 (decisions, scores, target, which each metric
+checks itself), while ``--metrics all`` lists it as skipped with the
+reason and exits 2. Each subcommand accepts only the options it reads.
+The ``FAIRAUDIT_SEED`` environment variable sets the default of
+``--seed``, and ``FAIRAUDIT_FORMAT`` that of ``audit --format``; an
+invalid value exits 64, except that ``train``, which reads no seed,
+ignores ``FAIRAUDIT_SEED``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 from . import causal, group_metrics, incompatibility, individual_metrics, modeling
 from . import synth_experiment
 from .data import (
-    _csv_line,
+    _csv_text,
     _json_text,
     load_csv,
     load_predictions,
@@ -58,30 +58,42 @@ class _Parser(argparse.ArgumentParser):
 
 
 class Criterion(NamedTuple):
-    """One audit metric: name, aliases, required inputs and how to run it.
+    """One audit metric: name, how to run it, aliases and required option.
 
-    ``option`` is an ``(argument, message)`` pair, checked first: a metric
-    named without it exits 64. ``needs`` are the data inputs as
-    ``group_metrics._require`` takes them (exit 65). Under ``--metrics all``
-    the first unmet input is reported as skipped instead. ``run`` maps the
-    audit inputs to the metric's JSON document.
+    ``run`` maps the audit inputs to the metric's JSON document, and the
+    metric checks its own data inputs: the first one missing raises
+    ValueError (exit 65), and under ``--metrics all`` is reported as
+    skipped instead. ``option`` is an ``(argument, message)`` pair, checked
+    before ``run``: a metric named without it exits 64.
     """
 
     name: str
-    needs: tuple
     run: Callable
     aliases: tuple = ()
     option: tuple | None = None
 
 
-def _stats_row(name, aliases=()):
-    def run(a):
-        return group_metrics._stats_report(name, a.stats).to_json_dict()
+def _on_stats(name, needs, report, aliases=()):
+    """A row whose ``report(ds, preds, stats)`` reads the shared group stats
+    and checks no input, so its runner checks ``needs`` first."""
 
-    return Criterion(name, group_metrics.STATS_CRITERIA[name][0], run, aliases)
+    def run(a):
+        group_metrics._require(a.ds, a.preds, needs)
+        return report(a.ds, a.preds, a.stats).to_json_dict()
+
+    return Criterion(name, run, aliases)
+
+
+def _stats_row(name, aliases=()):
+    needs = group_metrics.STATS_CRITERIA[name][0]
+    return _on_stats(
+        name, needs, lambda ds, preds, stats: group_metrics._stats_report(name, stats), aliases
+    )
 
 
 def _cdp(a):
+    # decisions before the column is binned: a missing input is named first
+    group_metrics._require(a.ds, a.preds, (group_metrics.DECISIONS,))
     ds, col = a.ds, a.args.condition_on
     if col != ds.target_name and ds.feature(col).kind == "continuous":
         ds = quantile_bin(ds, col, a.args.condition_bins)
@@ -106,7 +118,6 @@ CRITERIA = (
     _stats_row("demographic_parity", ("dp",)),
     Criterion(
         "conditional_demographic_parity",
-        (group_metrics.DECISIONS,),
         _cdp,
         ("cdp",),
         ("condition_on", "conditional_demographic_parity needs --condition-on"),
@@ -122,24 +133,16 @@ CRITERIA = (
     _stats_row("auc_parity"),
     Criterion(
         "calibration_within_groups",
-        (group_metrics.SCORES, group_metrics.TARGET),
         lambda a: group_metrics.calibration_within_groups(
             a.ds, a.preds, a.args.bins, a.args.min_count
         ).to_json_dict(),
     ),
-    Criterion(
-        "criteria_gaps",
-        incompatibility.GAPS_NEEDS,
-        lambda a: incompatibility._gaps(a.ds, a.preds, a.stats).to_json_dict(),
-    ),
-    Criterion(
-        "sep_suff_exclusion",
-        incompatibility.SEP_SUFF_NEEDS,
-        lambda a: incompatibility._sep_suff_exclusion(a.ds, a.preds, a.stats).to_json_dict(),
+    _on_stats("criteria_gaps", incompatibility.GAPS_NEEDS, incompatibility._gaps),
+    _on_stats(
+        "sep_suff_exclusion", incompatibility.SEP_SUFF_NEEDS, incompatibility._sep_suff_exclusion
     ),
     Criterion(
         "consistency",
-        individual_metrics.CONSISTENCY_NEEDS,
         lambda a: {
             "metric": "consistency",
             "value": individual_metrics.consistency(a.ds, a.preds, a.args.k, a.dist),
@@ -147,7 +150,6 @@ CRITERIA = (
     ),
     Criterion(
         "similarity_weighted_disparity",
-        individual_metrics.DISPARITY_NEEDS,
         lambda a: {
             "metric": "similarity_weighted_disparity",
             "value": individual_metrics.similarity_weighted_disparity(a.ds, a.preds, a.dist),
@@ -155,12 +157,11 @@ CRITERIA = (
     ),
     Criterion(
         "lipschitz_audit",
-        (),
         lambda a: individual_metrics.lipschitz_audit(
             a.ds, a.preds, a.dist, a.args.lipschitz_constant, a.args.max_pairs, a.args.seed
         ).to_json_dict(),
     ),
-    Criterion("flip", (), _flip, option=("model", "the flip metric needs --model")),
+    Criterion("flip", _flip, option=("model", "the flip metric needs --model")),
 )
 
 METRICS = tuple(c.name for c in CRITERIA)
@@ -243,7 +244,6 @@ def cmd_audit(args):
         try:
             if c.option and not getattr(args, c.option[0]):
                 raise UsageError(c.option[1])
-            group_metrics._require(ds, preds, c.needs)
             out[c.name] = c.run(inputs)
         except (UsageError, ValueError) as exc:
             # 'all' runs whatever the inputs support and lists the rest as
@@ -255,7 +255,7 @@ def cmd_audit(args):
     # strict JSON refuses nan/inf anywhere in the report, for either format
     text = _json_text(doc)
     if args.format == "csv":
-        text = "".join(_csv_line(row) for row in [("key", "value"), *_flatten_csv(doc)])
+        text = _csv_text([("key", "value"), *_flatten_csv(doc)])
     _emit(text, args.output)
     if _has_skips(out) or all(_all_undefined(m) for m in out.values()):
         return EXIT_PARTIAL
@@ -270,32 +270,18 @@ def _all_undefined(doc):
 
 
 def cmd_synth(args):
-    cfg = synth_experiment.SynthConfig(
-        n=args.n,
-        target=args.target,
-        noise_scale_interpretation=_resolve_noise(args.noise, args.seed),
-        seed=args.seed,
-    )
-    ds = synth_experiment.generate(cfg)
-    lines = ["A,X1,X2,X3,Y"]
-    x1 = ds.feature("X1").values
-    x2 = ds.feature("X2").values
-    x3 = ds.feature("X3").values
-    for i in range(ds.n):
-        lines.append(
-            f"{ds.sensitive.values[i]},{float(x1[i])!r},{float(x2[i])!r},"
-            f"{x3[i]},{ds.target[i]}"
-        )
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
-
-
-def _resolve_noise(choice, seed):
-    if choice == "auto":
-        return synth_experiment.calibrate_noise_interpretation(
-            derive_seed(seed, "calibration")
+    noise = args.noise
+    if noise == "auto":
+        noise = synth_experiment.calibrate_noise_interpretation(
+            derive_seed(args.seed, "calibration")
         ).chosen
-    return choice
+    ds = synth_experiment.generate(
+        synth_experiment.SynthConfig(args.n, args.target, noise, args.seed)
+    )
+    header = (ds.sensitive.name, *ds.feature_names, ds.target_name)
+    columns = (ds.sensitive.values, *(c.values for c in ds.features), ds.target)
+    _emit(_csv_text([header, *zip(*(c.tolist() for c in columns))]), args.output)
+    return EXIT_OK
 
 
 def cmd_train(args):
@@ -353,34 +339,30 @@ def cmd_counterfactual(args):
     hold = frozenset(s.strip() for s in args.hold.split(",") if s.strip()) if args.hold else frozenset()
     query = causal.CounterfactualQuery(observed, do, hold)
     result = causal.counterfactual(scm, query, args.budget, args.seed)
-    text = _json_text(vars(result))
+    # the file first: a path that cannot be written exits 65 with nothing printed
+    if args.output:
+        Path(args.output).write_text(_json_text(vars(result)), encoding="utf-8")
     for node in scm.nodes:
         line = f"counterfactual {node} = {result.means[node]:g}"
         if result.stderr is not None:
             line += f" (stderr {result.stderr[node]:.2g})"
         print(line)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_experiment(args):
-    datasets = None
-    interp = None if args.noise == "auto" else args.noise
+    adult = ()
     if args.adult:
         if not args.adult_schema:
             raise UsageError("--adult needs --adult-schema")
         schema = load_schema(args.adult_schema)
-        adult = load_csv(args.adult, schema)
-        interp = _resolve_noise(args.noise, args.seed)
-        datasets = [("adult", adult, args.adult_condition)]
-        datasets += synth_experiment.synthetic_datasets(args.seed, args.n, interp)
+        adult = [("adult", load_csv(args.adult, schema), args.adult_condition)]
     report = synth_experiment.run_experiment(
-        datasets=datasets,
         seed=args.seed,
         split_fraction=args.split,
-        noise_interpretation=interp,
+        noise_interpretation=None if args.noise == "auto" else args.noise,
         n=args.n,
+        extra_datasets=adult,
     )
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -12,11 +12,11 @@ read-only) and safe to share across threads.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import warnings
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -308,15 +308,18 @@ def _read_csv(path):
     return header, rows
 
 
-def _csv_line(fields):
-    """One CSV record of ``str(field)`` values, ending in ``\\n``.
+def _csv_text(rows):
+    """CSV text of ``rows``: one record of ``str(field)`` values per row,
+    each ending in ``\\n``.
 
-    Records end in ``\\r\\n``, then lose the ``\\r``, so that a field holding
-    either character is quoted (before Python 3.13 only the ending's are).
+    The writer ends records in ``\\r\\n``, then each loses its ``\\r``, so
+    that a field holding either character is quoted (before Python 3.13
+    only the ending's are). It writes each record in one call.
     """
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerow([str(f) for f in fields])
-    return buf.getvalue()[:-2] + "\n"
+    records = []
+    writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n")
+    writer.writerows(map(str, row) for row in rows)
+    return "".join(r[:-2] + "\n" for r in records)
 
 
 def _json_text(doc):
@@ -507,7 +510,9 @@ def quantile_bin(ds, column, bins=4):
     Needed before conditioning parity metrics on a continuous variable:
     stratified criteria quantify over strata, which is ill-posed for
     continuous conditioners. Duplicate quantile edges are merged, so fewer
-    than ``bins`` strata can result.
+    than ``bins`` strata can result. Edges are printed with the fewest
+    significant digits, 6 or more, at which they all differ, so no two
+    strata share a label.
     """
     col = ds.feature(column)
     if col.kind != CONTINUOUS:
@@ -517,12 +522,12 @@ def quantile_bin(ds, column, bins=4):
     qs = np.quantile(col.values, np.linspace(0, 1, bins + 1)[1:-1]) if ds.n else []
     edges = np.unique(qs)
     codes = np.searchsorted(edges, col.values, side="right")
-    labels = []
-    lo = "-inf"
-    for e in edges:
-        labels.append(f"[{lo}, {e:g})")
-        lo = f"{e:g}"
-    labels.append(f"[{lo}, inf)")
+    for digits in range(6, 18):  # 17 tell any two float64 values apart
+        texts = [f"{e:.{digits}g}" for e in edges]
+        if len(set(texts)) == len(texts):
+            break
+    bounds = ["-inf", *texts, "inf"]
+    labels = [f"[{lo}, {hi})" for lo, hi in zip(bounds[:-1], bounds[1:])]
     binned = FeatureColumn(column, CATEGORICAL, codes, tuple(labels))
     features = tuple(binned if c.name == column else c for c in ds.features)
     return Dataset(features, ds.sensitive, ds.target, ds.target_name)

@@ -188,9 +188,6 @@ def _knn_means(x, dec, k):
     return (nb_pos[inv] - dec) / nb_count[inv]
 
 
-CONSISTENCY_NEEDS = (("decisions", "consistency needs binary decisions"),)
-
-
 def consistency(ds, preds, k=5, dist=DistanceSpec()):
     """One minus the mean decision deviation from the k nearest neighbours.
 
@@ -198,7 +195,7 @@ def consistency(ds, preds, k=5, dist=DistanceSpec()):
     k-th distance are all included, so the neighbourhood is deterministic
     without arbitrary ordering. Equals 1 for any constant decision rule.
     """
-    group_metrics._require(ds, preds, CONSISTENCY_NEEDS)
+    group_metrics._require(ds, preds, (("decisions", "consistency needs binary decisions"),))
     n = ds.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must lie in [1, {n - 1}]")
@@ -253,9 +250,6 @@ def _block_row_sums(left, right, step):
     return sums
 
 
-DISPARITY_NEEDS = (("decisions", "similarity_weighted_disparity needs binary decisions"),)
-
-
 def similarity_weighted_disparity(ds, preds, dist=DistanceSpec()):
     """Cross-group decision differences weighted by feature similarity.
 
@@ -272,7 +266,8 @@ def similarity_weighted_disparity(ds, preds, dist=DistanceSpec()):
     given encoded rows, the value depends on neither the row order nor the
     block size.
     """
-    group_metrics._require(ds, preds, DISPARITY_NEEDS)
+    needs = (("decisions", "similarity_weighted_disparity needs binary decisions"),)
+    group_metrics._require(ds, preds, needs)
     if ds.sensitive.n_groups != 2:
         raise ValueError("binary sensitive attribute required; intersect/recode first")
     rej0, acc0, rej1, acc1 = cell_rows(ds.sensitive.values * 2 + preds.decisions, 4)
@@ -391,8 +386,7 @@ def lipschitz_audit(ds, preds, dist=DistanceSpec(), constant=1.0, max_pairs=1000
         raise ValueError(f"max_pairs must be at least 1, got {max_pairs}")
     if preds is None:
         raise ValueError("lipschitz_audit needs decisions or scores")
-    if preds.n != ds.n:
-        raise ValueError(f"predictions cover {preds.n} rows, dataset has {ds.n}")
+    group_metrics._require(ds, preds, ())
     outcome = preds.decisions if preds.decisions is not None else preds.scores
     outcome = np.asarray(outcome, dtype=float)
     n = ds.n

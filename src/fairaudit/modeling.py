@@ -658,7 +658,9 @@ def load_model(path):
     """Load a model saved by :func:`save_model`.
 
     Files written before ``converged`` was recorded derive it from the
-    gradient norm and the default tolerance.
+    gradient norm and the default tolerance. A ``dp_post`` or ``cdp_post``
+    model without a threshold policy, or another strategy's model with
+    one, is an error: its decisions would not be the ones it was fitted to.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -667,12 +669,15 @@ def load_model(path):
         supp["threshold"], tuple(map(tuple, supp["dropped"])), tuple(supp["kept"])
     )
     grad_norm = doc.get("final_grad_norm", float("nan"))
-    policy = doc.get("policy")
+    spec, policy = MitigationSpec(**doc["spec"]), doc.get("policy")
+    if (policy is None) == (spec.strategy in (DP_POST, CDP_POST)):
+        verb = "lacks" if policy is None else "holds"
+        raise ValueError(f"{path}: a {spec.strategy} model that {verb} a threshold policy")
     return ClassifierModel(
         np.asarray(doc["weights"], dtype=float),
         float(doc["intercept"]),
         _Encoder.from_json_dict(doc["encoder"]),
-        MitigationSpec(**doc["spec"]),
+        spec,
         suppression,
         doc.get("epochs", 0),
         grad_norm,

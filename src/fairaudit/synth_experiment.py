@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from . import causal
 from .causal import Assignment, Dag, NoiseSpec, Scm
-from .data import Dataset, PredictionSet, _csv_line, split
+from .data import Dataset, PredictionSet, _csv_text, split
 from .group_metrics import _auc_scores, demographic_parity
 from .individual_metrics import FlipReport, flip_assessment
 from .info_theory import symmetric_uncertainty_codes
@@ -264,10 +264,10 @@ class ExperimentReport:
         A failed approach leaves its cells empty.
         """
         names = list(self.blocks[0].approaches) if self.blocks else []
-        lines = [_csv_line(["dataset", "metric", *names])]
+        rows = [["dataset", "metric", *names]]
         for b in self.blocks:
             pad = [""] * (len(names) - 1)
-            lines.append(_csv_line([b.name, "U(Y;A)", f"{b.u_target_attr:.1f}", *pad]))
+            rows.append([b.name, "U(Y;A)", f"{b.u_target_attr:.1f}", *pad])
             for metric, attr in (
                 ("U(Yhat;A)", "u_pred_attr"),
                 ("ROC AUC", "auc"),
@@ -278,8 +278,8 @@ class ExperimentReport:
                     "" if isinstance(m, FailedApproach) else f"{getattr(m, attr):.1f}"
                     for m in (b.approaches[a] for a in names)
                 ]
-                lines.append(_csv_line([b.name, metric, *cells]))
-        return "".join(lines)
+                rows.append([b.name, metric, *cells])
+        return _csv_text(rows)
 
 
 def approach_spec(approach, conditioning=None, synthetic=True):
@@ -381,14 +381,17 @@ def run_experiment(
     split_fraction=0.7,
     noise_interpretation=None,
     n=15000,
+    extra_datasets=(),
 ):
     """Full mitigation comparison; returns an :class:`ExperimentReport`.
 
     ``datasets`` is a sequence of ``(name, Dataset, cdp_conditioning)``
     triples; by default the two built-in synthetic datasets are generated
-    (under the calibrated noise reading unless one is forced) and
-    conditioned on X3 for CDP. All randomness derives from ``seed``. Each
-    dataset makes each distinct Newton fit once (CDP and DP share one;
+    (under the calibrated noise reading unless one is forced, and the
+    report records which) and conditioned on X3 for CDP.
+    ``extra_datasets``, triples too, run ahead of ``datasets``. All
+    randomness derives from ``seed``. Each dataset makes each distinct
+    Newton fit once (CDP and DP share one;
     :class:`~fairaudit.modeling.RowMemo`); each approach scores the test
     rows itself. An approach that raises ``ValueError`` (e.g. it drops
     every feature) is reported as a :class:`FailedApproach` and the rest
@@ -419,7 +422,8 @@ def run_experiment(
         elif noise_interpretation is None:
             noise_interpretation = DEFAULT_NOISE_INTERPRETATION
         blocks = ordered_map(
-            functools.partial(_dataset_block, seed=seed, split_fraction=split_fraction), datasets
+            functools.partial(_dataset_block, seed=seed, split_fraction=split_fraction),
+            [*extra_datasets, *datasets],
         )
     return ExperimentReport(
         tuple(blocks),

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fairaudit import group_metrics, incompatibility, individual_metrics, modeling, threads
 from fairaudit.causal import save_scm, simulate
-from fairaudit.data import _csv_line, load_csv, load_predictions, load_schema
+from fairaudit.data import _csv_text, load_csv, load_predictions, load_schema
 from fairaudit.individual_metrics import flip_assessment
 from fairaudit.cli import (
     ALIASES,
@@ -150,6 +150,20 @@ class TestAudit:
         assert doc["metrics"]["demographic_parity"]["gap"] >= 0.0
         assert "skipped" in doc["metrics"]["auc_parity"]
         assert "scores" in doc["metrics"]["auc_parity"]["skipped"][0]
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--predictions", "yhat"), "--predictions takes yhat=COL and/or score=COL"),
+            ((), "no predictions: pass --predictions and/or --model"),
+        ],
+    )
+    def test_predictions_are_named_or_usage_error(self, toy_csv, capsys, extra, message):
+        data, schema = toy_csv
+        argv = ["audit", "--data", str(data), "--schema", str(schema), "--metrics", "dp"]
+        assert main([*argv, *extra]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"usage error: {message}\n"
 
     def test_unknown_metric_usage_error(self, toy_csv, capsys):
         data, schema = toy_csv
@@ -547,6 +561,30 @@ class TestTrainCli:
         doc = json.loads(out.read_text())
         assert doc["metrics"]["demographic_parity"]["ratio"] >= 0.95
 
+    @pytest.mark.parametrize("strategy, verb", [("dp", "lacks"), ("ftu", "holds")])
+    def test_policy_that_disagrees_with_the_strategy_is_data_error(
+        self, tmp_path, capsys, strategy, verb
+    ):
+        # a dp_post model without its policy would decide at score 0.5, not
+        # by the thresholds it was fitted with
+        data, schema = self.synth_files(tmp_path, n=800)
+        dp, model = tmp_path / "dp.json", tmp_path / "model.json"
+        assert self.train(data, schema, dp) == EXIT_OK
+        assert self.train(data, schema, model, "--strategy", strategy) == EXIT_OK
+        doc = json.loads(model.read_text())
+        doc["policy"] = None if strategy == "dp" else json.loads(dp.read_text())["policy"]
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["audit", "--data", str(data), "--schema", str(schema),
+                     "--model", str(model), "--metrics", "dp"])
+        assert code == EXIT_DATA
+        name = "dp_post" if strategy == "dp" else strategy
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"data error: {model}: a {name} model that {verb} a threshold policy\n"
+        )
+
     def test_model_file_byte_deterministic(self, tmp_path):
         data, schema = self.synth_files(tmp_path, n=800)
         outs = []
@@ -671,6 +709,19 @@ class TestCounterfactualCli:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "counterfactual X = 0.5" in out
+
+    def test_unwritable_output_prints_nothing(self, tmp_path, capsys):
+        # the answer used to be printed before the file failed to be written
+        path = tmp_path / "chain.json"
+        save_scm(chain_scm(), path)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        code = main(["counterfactual", "--scm", str(path), "--unit", "A=1,X=1.5",
+                     "--do", "A=0", "--output", str(folder)])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: ") and str(folder) in captured.err
 
     def test_factual_do_echoes_observation(self, tmp_path, capsys):
         path = tmp_path / "chain.json"
@@ -859,6 +910,26 @@ class TestExperimentCli:
             doc["datasets"]["adult"]["approaches"]["FTU"]["Flip"] == 100.0
         )
 
+    @pytest.mark.parametrize("noise", ["auto", "variance"])
+    def test_adult_run_records_its_noise_reading(self, tmp_path, noise):
+        # with --adult the calibration and the forced-noise note were dropped
+        data, schema = self.census_like(tmp_path, 600, 4)
+        docs = {}
+        for name, adult in (("with", ["--adult", str(data), "--adult-schema", str(schema)]),
+                            ("without", [])):
+            outdir = tmp_path / name
+            code = main(["experiment", *adult, "--n", "600", "--noise", noise,
+                         "--seed", "5", "--out", str(outdir)])
+            assert code == EXIT_OK
+            docs[name] = json.loads((outdir / "experiment.json").read_text())
+        with_adult, without = docs["with"], docs["without"]
+        assert list(with_adult["datasets"]) == ["adult", "synthetic#1", "synthetic#2"]
+        for key in ("noise_interpretation", "calibration", "notes"):
+            assert with_adult[key] == without[key]
+        assert (with_adult["calibration"] is None) == (noise != "auto")
+        forced = "noise interpretation forced to 'variance'"
+        assert (forced in with_adult["notes"]) == (noise == "variance")
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(
             [
@@ -936,9 +1007,19 @@ class TestGlobalOptions:
 
     def test_csv_lines_end_in_newline_and_quote_carriage_returns(self):
         fields = ("cr\rhere", "crlf\r\nhere", "plain", None, 1.5)
-        line = _csv_line(fields)
+        line = _csv_text([fields])
         assert line.endswith(",plain,None,1.5\n")
         assert next(csv.reader(io.StringIO(line, newline=""))) == [str(f) for f in fields]
+
+    def test_one_writer_ends_every_record_in_newline(self):
+        # only each record's own ending loses its "\r": a field's is kept
+        rows = [("head", "er"), ("crlf\r\nhere", 2), (), ("last", None)]
+        text = _csv_text(rows)
+        assert text == 'head,er\n"crlf\r\nhere",2\n\nlast,None\n'
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [
+            [str(f) for f in row] for row in rows
+        ]
+        assert _csv_text([]) == ""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("to_file", [True, False])

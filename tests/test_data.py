@@ -26,6 +26,7 @@ from fairaudit.data import (
     quantile_bin,
     split,
 )
+from fairaudit.group_metrics import conditional_demographic_parity
 
 
 def write(tmp_path, name, text):
@@ -413,6 +414,34 @@ class TestQuantileBin:
         counts = np.bincount(col.values)
         assert len(counts) == 4
         assert counts.sum() == 100
+
+    def test_labels_keep_six_digits_where_they_tell_edges_apart(self):
+        ds = toy_dataset(100, seed=1)
+        qs = np.quantile(ds.feature("x").values, [0.25, 0.5, 0.75])
+        a, b, c = (f"{q:g}" for q in qs)
+        assert quantile_bin(ds, "x", bins=4).feature("x").labels == (
+            f"[-inf, {a})", f"[{a}, {b})", f"[{b}, {c})", f"[{c}, inf)"
+        )
+
+    def test_edges_equal_to_six_digits_get_distinct_labels(self):
+        # every edge printed as "1" with {:g}, so strata keyed by label
+        # overwrote each other: conditional parity listed 3 of 6
+        rng = np.random.default_rng(3)
+        sa = SensitiveAttribute("g", rng.integers(0, 2, 400), ("a", "b"))
+        ds = Dataset((FeatureColumn("x", CONTINUOUS, 1 + 1e-6 * rng.random(400)),), sa)
+        col = quantile_bin(ds, "x", bins=6).feature("x")
+        assert len(set(col.labels)) == 6
+        dec = rng.integers(0, 2, 400)
+        binned = Dataset((col,), sa)
+        rep = conditional_demographic_parity(binned, PredictionSet(dec), "x", min_count=1)
+        assert list(rep.strata) == list(col.labels)
+        counts = np.bincount(col.values, minlength=6)
+        for code, label in enumerate(col.labels):
+            for g, glabel in enumerate(sa.group_labels):
+                rows = (col.values == code) & (sa.values == g)
+                assert rep.strata[label].groups[glabel] == dec[rows].mean()
+        gaps = [rep.strata[label].gap for label in col.labels]
+        assert rep.weighted_mean_gap == pytest.approx(np.dot(gaps, counts) / 400)
 
     def test_already_categorical_rejected(self):
         ds = toy_dataset(10)

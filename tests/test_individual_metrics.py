@@ -610,6 +610,26 @@ class TestLipschitzAudit:
         with pytest.raises(ValueError, match="max_pairs must be at least 1, got"):
             lipschitz_audit(ds, preds, RAW, max_pairs=max_pairs)
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("no predictions", "lipschitz_audit needs decisions or scores"),
+            ("short predictions", "predictions cover 2 rows, dataset has 3"),
+            ("one row", "need at least two rows"),
+        ],
+    )
+    def test_inputs_checked(self, case, message):
+        ds, preds = one_d([0.0, 1.0, 2.0], [0, 1, 0], [0, 1, 1])
+        if case == "no predictions":
+            preds = None
+        elif case == "short predictions":
+            preds = preds.take([0, 1])
+        else:
+            ds, preds = ds.take([0]), preds.take([0])
+        with pytest.raises(ValueError) as exc:
+            lipschitz_audit(ds, preds, RAW)
+        assert str(exc.value) == message
+
     def test_one_pair_is_enough(self):
         ds, preds = one_d([0.0, 1.0, 2.0], [0, 1, 0], [0, 1, 1])
         assert lipschitz_audit(ds, preds, RAW, max_pairs=1).pairs_examined == 1
