@@ -20,6 +20,8 @@ noise mean is mirrored below it) to keep deep upper tails precise.
 ``counterfactual`` and the gaps sum the branches exactly, whatever the
 decision reads; only past ``_EXACT_CAP`` random nodes do they take Monte
 Carlo with ``mc_budget`` draws, in blocks of ``_BLOCK_CELLS`` cells.
+The interventional gaps take the same two engines over the noise priors
+(``_prior``): Monte Carlo for the expectation gap, exact for the conditional.
 """
 
 from __future__ import annotations
@@ -295,14 +297,9 @@ def simulate(scm, n, seed=0):
     Noise is drawn node by node in topological order from a single
     generator, so two runs with the same seed are bit-identical.
     """
-    latents = _draw_noise(scm, n, seed)
-    return _propagate(scm, latents, {}), latents
-
-
-def _draw_noise(scm, n, seed):
-    """n draws of each node's noise, in node order, from one generator."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return {node: scm.noises[node].draw(rng, n) for node in scm.dag.nodes}
+    latents = {node: scm.noises[node].draw(rng, n) for node in scm.dag.nodes}
+    return _propagate(scm, latents, {}), latents
 
 
 def sample(scm, n, seed=0):
@@ -411,6 +408,20 @@ def _abduct(scm, obs):
                     )
                 posteriors[node] = ("point", np.full(x.shape, nz.value))
     return posteriors
+
+
+def _prior(scm):
+    """(obs, posteriors) of one unit whose posteriors are the noise priors, a
+    gaussian as the whole line; the engines read only the length of ``obs``."""
+
+    def one(nz):
+        if nz.kind == GAUSSIAN:
+            return "tnorm", np.array([-np.inf]), np.array([np.inf])
+        if nz.kind == BERNOULLI:
+            return "bern01", np.array([nz.p])
+        return "point", np.array([nz.value])
+
+    return dict.fromkeys(scm.dag.nodes, np.zeros(1)), {k: one(scm.noises[k]) for k in scm.dag.nodes}
 
 
 def _indicator(inner, a):
@@ -576,19 +587,16 @@ def _propagate(scm, noise, fixed):
     return values
 
 
-def _mc_means(scm, fns, obs, posteriors, interventions, mediators, mc_budget, seed):
+def _mc_means(scm, fns, obs, posteriors, interventions, mediators, draws, seed):
     """Monte Carlo means per unit of each of ``fns`` under each intervention:
-    the fallback past ``_EXACT_CAP`` random nodes.
+    the fallback past ``_EXACT_CAP`` random nodes, and the expectation gap's.
 
     Draws are shared across interventions and taken in blocks of at most
-    ``_BLOCK_CELLS`` draws x units, so memory does not grow with
-    ``mc_budget``. One generator feeds the blocks in order, so the values
+    ``_BLOCK_CELLS`` draws x units, so memory does not grow with the
+    draws. One generator feeds the blocks in order, so the values
     depend on the block sizes.
     """
     n = len(next(iter(obs.values())))
-    draws = int(mc_budget)
-    if draws < 1:
-        raise ValueError("mc_budget must be at least 1")
     chunk = min(draws, _BLOCK_CELLS)
     step = max(1, _BLOCK_CELLS // chunk)
     sums = [[np.zeros(n) for _ in fns] for _ in interventions]
@@ -644,6 +652,14 @@ class CounterfactualResult:
     stderr: dict | None = None
 
 
+def _draws(mc_budget):
+    """``mc_budget`` as a draw count: every query checks it first, on every model."""
+    draws = int(mc_budget)
+    if draws < 1:
+        raise ValueError("mc_budget must be at least 1")
+    return draws
+
+
 def counterfactual(scm, query, mc_budget=10000, seed=0):
     """Three-step counterfactual for one unit.
 
@@ -655,6 +671,7 @@ def counterfactual(scm, query, mc_budget=10000, seed=0):
     Past ``_EXACT_CAP`` random nodes it is Monte Carlo with ``mc_budget``
     draws, and the result says so (``exact`` false, a stderr per node).
     """
+    draws = _draws(mc_budget)
     missing = [n for n in scm.dag.nodes if n not in query.observed]
     if missing:
         raise ValueError(f"partial observation unsupported; missing nodes: {missing}")
@@ -666,9 +683,8 @@ def counterfactual(scm, query, mc_budget=10000, seed=0):
         (means,) = _mixture_means(scm, reads, obs, posteriors, do, held)
         return CounterfactualResult({k: float(x[0]) for k, x in zip(nodes, means)}, True, 1)
     squares = [lambda v, k=k: v[k] ** 2 for k in nodes]
-    (moments,) = _mc_means(scm, reads + squares, obs, posteriors, do, held, mc_budget, seed)
+    (moments,) = _mc_means(scm, reads + squares, obs, posteriors, do, held, draws, seed)
     means = {k: float(x[0]) for k, x in zip(nodes, moments)}
-    draws = int(mc_budget)
     stderr = None if draws == 1 else {
         k: math.sqrt(max(float(x2[0]) - means[k] ** 2, 0.0) / (draws - 1))
         for k, x2 in zip(nodes, moments[len(nodes):])
@@ -713,6 +729,7 @@ def _sensitive_or_error(scm):
 def _flip_probs(scm, decision_fn, ds, a, b, mediators, mc_budget, seed):
     """P(decision = 1) of every unit with sensitive value ``a``, flipped to
     ``a`` and to ``b``, with ``mediators`` held (see ``_decision_probs``)."""
+    mc_budget = _draws(mc_budget)
     sens = _sensitive_or_error(scm)
     if sens in mediators:
         raise ValueError("the sensitive node cannot be a held mediator")
@@ -771,13 +788,11 @@ def expectation_intervention_gap(scm, decision_fn, a, b, mc_budget=10000, seed=0
     Both intervened models are sampled with common random numbers, so the
     estimate's variance reflects only genuinely divergent outcomes.
     """
+    draws = _draws(mc_budget)
     sens = _sensitive_or_error(scm)
-    noise = _draw_noise(scm, int(mc_budget), seed)
-    means = []
-    for v in (a, b):
-        values = _propagate(scm, noise, {sens: float(v)})
-        means.append(float(np.asarray(decision_fn(values), dtype=float).mean()))
-    return abs(means[0] - means[1])
+    flips = [{sens: float(a)}, {sens: float(b)}]
+    (p_a,), (p_b,) = _mc_means(scm, [decision_fn], *_prior(scm), flips, (), draws, seed)
+    return float(abs(p_a[0] - p_b[0]))
 
 
 def conditional_intervention_gap(scm, decision_fn, condition, a, b):
@@ -790,32 +805,20 @@ def conditional_intervention_gap(scm, decision_fn, condition, a, b):
     from the model without further assumptions.
     """
     sens = _sensitive_or_error(scm)
-    prior = {}
     for node, nz in scm.noises.items():
         if nz.kind == GAUSSIAN:
             raise ValueError(
                 f"node {node!r} has continuous noise; the conditional "
                 "intervention gap is only computable under finite-support noise"
             )
-        # the prior in the form of an abducted posterior, so that the
-        # bernoulli noises are enumerated as the branches of the mixture
-        prior[node] = ("bern01", np.array([nz.p])) if nz.kind == BERNOULLI else (
-            "point", np.array([nz.value]))
-    probs_out = []
-    for v in (a, b):
-        fixed = {sens: float(v)}
-        random = _random_nodes(scm, prior, fixed)
-        values = _branch_values(scm, prior, fixed, random, 1)
-        weights = _branch_weights(scm, prior, values, random, 1, 0)[:, 0]
-        match = np.ones(len(weights), dtype=bool)
-        for node, want in condition.items():
-            match &= np.abs(values[node][:, 0] - float(want)) <= _TOL
-        denom = float(weights[match].sum())
-        if denom == 0.0:
-            raise ValueError(
-                f"condition {condition} has zero probability under do({sens}={v})"
-            )
-        dec = decision_fn({n: x[match] if len(x) > 1 else x for n, x in values.items()})
-        dec = np.broadcast_to(np.asarray(dec, dtype=float), (int(match.sum()), 1))[:, 0]
-        probs_out.append(float((dec * weights[match]).sum() / denom))
-    return abs(probs_out[0] - probs_out[1])
+
+    def match(v):
+        return math.prod([np.abs(v[k] - float(x)) <= _TOL for k, x in condition.items()], start=1.0)
+
+    flips = [{sens: float(a)}, {sens: float(b)}]
+    fns = [match, lambda v: match(v) * decision_fn(v)]
+    (m_a, j_a), (m_b, j_b) = _mixture_means(scm, fns, *_prior(scm), flips, ())
+    for v, m in ((a, m_a), (b, m_b)):
+        if m[0] == 0.0:
+            raise ValueError(f"condition {condition} has zero probability under do({sens}={v})")
+    return float(abs(j_a[0] / m_a[0] - j_b[0] / m_b[0]))

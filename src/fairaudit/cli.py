@@ -79,7 +79,7 @@ def _on_stats(name, needs, report, aliases=()):
 
     def run(a):
         group_metrics._require(a.ds, a.preds, needs)
-        return report(a.ds, a.preds, a.stats).to_json_dict()
+        return report(a.ds, a.preds, a.stats()).to_json_dict()
 
     return Criterion(name, run, aliases)
 
@@ -95,6 +95,9 @@ def _cdp(a):
     # decisions before the column is binned: a missing input is named first
     group_metrics._require(a.ds, a.preds, (group_metrics.DECISIONS,))
     ds, col = a.ds, a.args.condition_on
+    if col != ds.target_name and col not in ds.feature_names:
+        # a ValueError, unlike feature()'s KeyError, is a skip under 'all'
+        raise ValueError(f"no feature column named {col!r}")
     if col != ds.target_name and ds.feature(col).kind == "continuous":
         ds = quantile_bin(ds, col, a.args.condition_bins)
     return group_metrics.conditional_demographic_parity(
@@ -236,8 +239,8 @@ def cmd_audit(args):
         ds=ds, preds=preds, model=model, args=args, dist=dist,
         # the model's own decisions, unless preds came from --predictions
         model_preds=None if pred_cols else preds,
-        # computed once: the metrics read off the group stats share it
-        stats=group_metrics.compute_group_stats(ds, preds),
+        # computed once, on first read: the metrics read off the group stats share it
+        stats=functools.cache(lambda: group_metrics.compute_group_stats(ds, preds)),
     )
     out = {}
     for c, from_all in requested:
@@ -331,8 +334,6 @@ def _parse_kv(text, flag):
 
 
 def cmd_counterfactual(args):
-    if args.budget < 1:  # on every model, not only past the exact cap
-        raise ValueError("mc_budget must be at least 1")
     scm = causal.load_scm(args.scm)
     observed = _parse_kv(args.unit, "--unit")
     do = _parse_kv(args.do, "--do")

@@ -59,8 +59,10 @@ class DistanceSpec:
 def encode_for_distance(ds, spec, include_sensitive=False):
     """Feature matrix under a distance spec.
 
-    Categorical features are one-hot encoded over the codes 0..max, as the
-    classifier encodes them; standardisation (when the spec asks for it)
+    Categorical features are one-hot encoded over the codes 0..max. The
+    classifier one-hots only the levels its rows take; the extra columns
+    here, for codes no row takes, are zero in every row and change no
+    distance. Standardisation (when the spec asks for it)
     uses per-column mean/std with zero-variance columns left centred.
     ``include_sensitive`` appends a one-hot of the group codes, for audits
     over the full feature-plus-attribute space.

@@ -1231,3 +1231,42 @@ class TestBoundedMemory:
         out = []
         assert self.peak_mb(lambda: out.append(counterfactual(scm, query, 100000))) < 64
         assert out[0].draws == 100000 and not out[0].exact
+
+    def test_expectation_gap_at_a_large_budget(self):
+        # the priors are drawn in blocks of _BLOCK_CELLS draws, not all at once
+        scm = bundled_scm("high")
+        fn, gap = lambda v: v["X3"], []
+        run = lambda: gap.append(expectation_intervention_gap(scm, fn, 1.0, 0.0, 4_000_000))
+        assert self.peak_mb(run) < 32
+        assert gap[0] == pytest.approx(0.5, abs=0.005)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the query worked before it checked mc_budget")
+
+
+class TestBudget:
+    @pytest.mark.parametrize("budget", [0, -5])
+    @pytest.mark.parametrize("model", [chain_scm, cap_scm])
+    @pytest.mark.parametrize("query", ["counterfactual", "pcff_gap", "cff_gap", "dcff_gap",
+                                       "ecff_gap", "expectation_intervention_gap"])
+    def test_below_one_raises_before_any_work(self, monkeypatch, query, model, budget):
+        # chain_scm is answered exactly and draws nothing; cap_scm is past the cap
+        scm = model()
+        ds = sample(scm, 20, seed=1)
+        values, _ = simulate(scm, 1, seed=6)
+        unit = CounterfactualQuery({k: float(v[0]) for k, v in values.items()}, {"A": 1.0})
+        fn = lambda v: v["X"]
+        calls = {
+            "counterfactual": lambda: counterfactual(scm, unit, budget),
+            "pcff_gap": lambda: pcff_gap(scm, fn, ds, 0, 1, frozenset({"X"}), budget),
+            "cff_gap": lambda: cff_gap(scm, fn, ds, 0, 1, budget),
+            "dcff_gap": lambda: dcff_gap(scm, fn, ds, 0, 1, budget),
+            "ecff_gap": lambda: ecff_gap(scm, fn, ds, 0, 1, budget),
+            "expectation_intervention_gap":
+                lambda: expectation_intervention_gap(scm, fn, 1.0, 0.0, budget),
+        }
+        for engine in ("_abduct", "_mixture_means", "_mc_means"):
+            monkeypatch.setattr(causal, engine, _no_work)
+        with pytest.raises(ValueError, match="mc_budget must be at least 1"):
+            calls[query]()

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairaudit import group_metrics, incompatibility, individual_metrics, modeling, threads
+from fairaudit import causal, group_metrics, incompatibility, individual_metrics, modeling
+from fairaudit import synth_experiment, threads
 from fairaudit.causal import save_scm, simulate
 from fairaudit.data import _csv_text, load_csv, load_predictions, load_schema
 from fairaudit.individual_metrics import flip_assessment
+from fairaudit.seeding import derive_seed
 from fairaudit.cli import (
     ALIASES,
     EXIT_DATA,
@@ -404,6 +406,7 @@ class TestAllRule:
              "the Lipschitz constant must be positive and finite, got nan"),
             ("lipschitz_audit", ("--max-pairs", "0"), "max_pairs must be at least 1, got 0"),
             ("lipschitz_audit", ("--max-pairs", "-3"), "max_pairs must be at least 1, got -3"),
+            ("cdp", ("--condition-on", "nope"), "no feature column named 'nope'"),
         ],
     )
     def test_invalid_parameter_is_a_data_error(
@@ -445,6 +448,18 @@ class TestSynth:
         main(["synth", "--n", "200", "--seed", "7", "--output", str(a)])
         main(["synth", "--n", "200", "--seed", "8", "--output", str(b)])
         assert a.read_bytes() != b.read_bytes()
+
+    def test_auto_noise_is_the_calibrated_reading(self, tmp_path):
+        seed = derive_seed(7, "calibration")
+        chosen = synth_experiment.calibrate_noise_interpretation(seed).chosen
+        other = {"std": "variance", "variance": "std"}[chosen]
+        files = {}
+        for noise in ("auto", chosen, other):
+            files[noise] = tmp_path / f"{noise}.csv"
+            assert main(["synth", "--n", "200", "--seed", "7", "--noise", noise,
+                         "--output", str(files[noise])]) == EXIT_OK
+        assert files["auto"].read_bytes() == files[chosen].read_bytes()
+        assert files["auto"].read_bytes() != files[other].read_bytes()
 
 
 # sha256 of the model files that TestTrainCli.test_strategy_spellings writes,
@@ -800,6 +815,23 @@ class TestCounterfactualCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not a finite number" in captured.err
+
+    def test_monte_carlo_answer_prints_stderr(self, tmp_path, capsys):
+        scm = cap_scm()
+        values, _ = simulate(scm, 1, seed=6)
+        observed = {k: float(v[0]) for k, v in values.items()}
+        path = tmp_path / "scm.json"
+        save_scm(scm, path)
+        unit = ",".join(f"{k}={v!r}" for k, v in observed.items())
+        assert main(["counterfactual", "--scm", str(path), "--unit", unit, "--do", "A=1",
+                     "--budget", "400", "--seed", "3"]) == EXIT_OK
+        query = causal.CounterfactualQuery(observed, {"A": 1.0})
+        result = causal.counterfactual(scm, query, 400, 3)
+        assert not result.exact
+        assert capsys.readouterr().out.splitlines() == [
+            f"counterfactual {k} = {result.means[k]:g} (stderr {result.stderr[k]:.2g})"
+            for k in scm.nodes
+        ]
 
     @pytest.mark.parametrize("past_cap", [False, True])
     @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -1255,7 +1287,8 @@ class TestPinnedAuditReports:
         assert code == EXIT_PARTIAL
         assert sha256(files[0] / "d.json") == PINNED_AUDIT["decisions_only"]
 
-    def test_all_builds_group_stats_once(self, files, monkeypatch):
+    @staticmethod
+    def stats_calls(monkeypatch):
         calls = []
         real = group_metrics.compute_group_stats
 
@@ -1265,8 +1298,18 @@ class TestPinnedAuditReports:
 
         for module in (group_metrics, incompatibility):
             monkeypatch.setattr(module, "compute_group_stats", counted)
+        return calls
+
+    def test_all_builds_group_stats_once(self, files, monkeypatch):
+        calls = self.stats_calls(monkeypatch)
         assert self.audit(files, files[1], "r2.json") == EXIT_OK
         assert len(calls) == 1
+
+    def test_group_stats_not_built_when_unread(self, files, monkeypatch):
+        calls = self.stats_calls(monkeypatch)
+        metrics = ("--metrics", "consistency,lipschitz_audit")
+        assert self.audit(files, files[1], "r3.json", *metrics) == EXIT_OK
+        assert calls == []
 
     # The pairwise metrics split their rows over threads; a small block
     # makes even these 2000 rows start every thread.

@@ -136,6 +136,19 @@ class TestSuppression:
         assert dropped == {"X1"}
         assert set(model.suppression.kept) == {"X2", "X3"}
 
+    def test_constant_features_are_kept(self):
+        # a constant column has no correlation with the groups: |corr| is 0,
+        # so it survives even a zero threshold, which drops everything else
+        base = simple_ds()
+        flat = (FeatureColumn("c", CONTINUOUS, np.full(base.n, 1.5)),
+                FeatureColumn("k", CATEGORICAL, np.full(base.n, 2)))
+        ds = replace(base, features=base.features + flat)
+        memo = modeling.RowMemo(ds)
+        assert memo.correlation("c") == 0.0 and memo.correlation("k") == 0.0
+        model = train(ds, MitigationSpec(SUPPRESSION, threshold=0.0), memo=memo)
+        assert model.suppression.kept == ("c", "k")
+        assert [name for name, _ in model.suppression.dropped] == ["x"]
+
     def test_ftu_and_suppression_never_flip(self):
         ds = generate(SynthConfig(n=4000, target="high", seed=9))
         for spec in (
